@@ -18,13 +18,11 @@ from dataclasses import dataclass
 from math import asin, sqrt
 
 from . import __version__
-from .cover import exact_cover, min_set_cover, unique_witness_assignment
 from .errors import DomainError, QubitCapError
-from .pipeline import AnalyzeOptions, RandomnessReport, analyze, cross_check, relation_for
+from .pipeline import AnalyzeOptions, analyze, cross_check, minimize_covered, relation_for
 from .quantum import (
     MarkedOracle,
     RegisterLayout,
-    classical_marked_count,
     grover_amplify,
     grover_iterations_optimal,
     grover_trace,
@@ -40,7 +38,6 @@ from .sequences import (
     Question,
     RecurrenceMembership,
     Sequence,
-    build_bitstring,
     satisfying_set,
 )
 from .number_theory import squarefree_support
@@ -54,7 +51,6 @@ _DEFAULTS = {
     "exact_threshold": 24,
     "format": "json",
     "no_quantum": False,
-    "jobs": 1,
 }
 
 _QUESTIONS = ("recurrence", "composite", "mobius-plus-one", "even", "prime", "identity")
@@ -70,7 +66,6 @@ class RunConfig:
     out: str | None
     format: str
     no_quantum: bool
-    jobs: int
 
     def options(self) -> AnalyzeOptions:
         return AnalyzeOptions(
@@ -113,6 +108,14 @@ def _merged(args: argparse.Namespace) -> dict:
     return merged
 
 
+def _integer(value, name: str) -> int:
+    """The one place flag, config and environment numbers are converted."""
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _build_sequence(merged: dict) -> Sequence:
     picked = [k for k in ("range", "list", "squarefree") if merged.get(k) is not None]
     if len(picked) != 1:
@@ -121,14 +124,19 @@ def _build_sequence(merged: dict) -> Sequence:
             f"got {picked or 'none'}"
         )
     if picked[0] == "range":
-        lo, hi = merged["range"]
-        return Sequence.from_range(int(lo), int(hi))
+        bounds = merged["range"]
+        if not isinstance(bounds, (list, tuple)) or len(bounds) != 2:
+            raise DomainError(f"range needs two integers A B, got {bounds!r}")
+        lo, hi = (_integer(v, "range bound") for v in bounds)
+        return Sequence.from_range(lo, hi)
     if picked[0] == "list":
         values = merged["list"]
         if isinstance(values, str):
-            values = [int(v) for v in values.split(",") if v != ""]
-        return Sequence.from_values([int(v) for v in values], label="list")
-    n = int(merged["squarefree"])
+            values = [v for v in values.split(",") if v != ""]
+        if not isinstance(values, (list, tuple)):
+            raise DomainError(f"list needs comma-separated integers, got {values!r}")
+        return Sequence.from_values([_integer(v, "list element") for v in values], label="list")
+    n = _integer(merged["squarefree"], "squarefree")
     return Sequence.from_values(squarefree_support(n), label=f"squarefree[{n}]")
 
 
@@ -142,7 +150,7 @@ def _build_question(merged: dict, seq: Sequence) -> Question:
     if kind == "recurrence":
         if p is None or q is None:
             raise DomainError("the recurrence question needs --p and --q")
-        return RecurrenceMembership(int(p), int(q))
+        return RecurrenceMembership(_integer(p, "p"), _integer(q, "q"))
     if p is not None or q is not None:
         raise DomainError(f"--p/--q only apply to the recurrence question, not {kind!r}")
     if kind == "composite":
@@ -160,30 +168,28 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     merged = _merged(args)
     seq = _build_sequence(merged)
     question = _build_question(merged, seq)
-    qubit_cap = int(merged["qubit_cap"])
+    qubit_cap = _integer(merged["qubit_cap"], "qubit_cap")
     ceiling = os.environ.get(ENV_QUBIT_CAP)
     if ceiling is not None:
         # the environment ceiling clamps the default but refuses an explicit
         # request above it
-        if merged["qubit_cap_explicit"] and qubit_cap > int(ceiling):
+        limit = _integer(ceiling, ENV_QUBIT_CAP)
+        if merged["qubit_cap_explicit"] and qubit_cap > limit:
             raise QubitCapError(
                 f"requested qubit cap {qubit_cap} exceeds the {ENV_QUBIT_CAP} "
                 f"ceiling {ceiling}"
             )
-        qubit_cap = min(qubit_cap, int(ceiling))
+        qubit_cap = min(qubit_cap, limit)
     fmt = merged["format"]
     if fmt not in ("json", "csv", "both"):
         raise DomainError(f"unknown format {fmt!r}")
     out = merged.get("out")
     if fmt == "both" and out is None:
         raise DomainError("--format both needs --out to place the two files")
-    jobs = int(merged["jobs"])
-    if jobs < 1:
-        raise DomainError("--jobs must be >= 1")
-    phase_bits = int(merged["phase_bits"])
+    phase_bits = _integer(merged["phase_bits"], "phase_bits")
     if phase_bits < 1:
         raise DomainError("--phase-bits must be >= 1")
-    exact_threshold = int(merged["exact_threshold"])
+    exact_threshold = _integer(merged["exact_threshold"], "exact_threshold")
     if exact_threshold < 0:
         raise DomainError("--exact-threshold must be >= 0")
     return RunConfig(
@@ -195,7 +201,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         out=out,
         format=fmt,
         no_quantum=bool(merged["no_quantum"]),
-        jobs=jobs,
     )
 
 
@@ -219,7 +224,6 @@ def emit_json(body_key: str, body: dict, command: str, config: RunConfig) -> str
                 "phase_bits": config.phase_bits,
                 "exact_threshold": config.exact_threshold,
                 "no_quantum": config.no_quantum,
-                "jobs": config.jobs,
             },
         },
         body_key: _round_floats(body),
@@ -241,15 +245,14 @@ def _csv_path(out: str) -> str:
 
 
 def cmd_analyze(config: RunConfig) -> int:
-    report: RandomnessReport = analyze(config.sequence, config.question, config.options())
+    report = analyze(config.sequence, config.question, config.options())
     body = report.to_dict()
     body["findings"] = cross_check(report)
     if config.format in ("json", "both"):
         _write(config.out, emit_json("report", body, "analyze", config))
     if config.format in ("csv", "both"):
-        bits = build_bitstring(config.sequence, config.question)
         path = config.out if config.format == "csv" else _csv_path(config.out)
-        _write(path, bits.to_csv())
+        _write(path, report.bits.to_csv())
     return 0
 
 
@@ -257,14 +260,7 @@ def cmd_witness(config: RunConfig) -> int:
     satisfying = satisfying_set(config.sequence, config.question)
     relation, _faithful = relation_for(config.sequence, config.question, satisfying)
     coverage = coverage_check(relation)
-    restricted = (
-        relation.restrict_targets(set(relation.targets) - set(coverage.uncovered))
-        if coverage.uncovered
-        else relation
-    )
-    min_cov = min_set_cover(restricted, config.exact_threshold)
-    exact_cov = exact_cover(restricted)
-    uwa_ok, assignment = unique_witness_assignment(restricted)
+    _restricted, mini = minimize_covered(relation, coverage, config.exact_threshold)
     body = {
         "relation": relation.to_json_dict(),
         "coverage": {
@@ -274,20 +270,20 @@ def cmd_witness(config: RunConfig) -> int:
         },
         "covers": {
             "min_cover": {
-                "kind": min_cov.kind.value,
-                "m": min_cov.m,
-                "chosen": list(min_cov.chosen),
+                "kind": mini.min_cover.kind.value,
+                "m": mini.min_cover.m,
+                "chosen": list(mini.min_cover.chosen),
             },
             "exact_cover": {
-                "kind": exact_cov.kind.value,
-                "m": exact_cov.m,
-                "chosen": list(exact_cov.chosen),
+                "kind": mini.exact_cover.kind.value,
+                "m": mini.exact_cover.m,
+                "chosen": list(mini.exact_cover.chosen),
             },
             "unique_witness_assignment": {
-                "exists": uwa_ok,
+                "exists": mini.assignment is not None,
                 "assignment": None
-                if assignment is None
-                else [[t, w] for t, w in assignment.items()],
+                if mini.assignment is None
+                else [[t, w] for t, w in mini.assignment.items()],
             },
         },
     }
@@ -304,7 +300,7 @@ def cmd_simulate(config: RunConfig) -> int:
         config.sequence.elements, relation.candidates, config.qubit_cap
     )
     oracle = MarkedOracle.from_relation(config.sequence.elements, relation)
-    marked = classical_marked_count(oracle)
+    marked = len(oracle.marked)
     if marked == 0:
         raise DomainError("nothing to amplify: no marked configurations")
     iterations = grover_iterations_optimal(oracle.support, marked)
@@ -362,9 +358,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("json", "csv", "both"))
     parser.add_argument("--no-quantum", dest="no_quantum", action="store_const",
                         const=True, help="classical stages only")
-    parser.add_argument("--jobs", type=int,
-                        help="worker budget for batch drivers (>= 1; single "
-                             "analyses run serially)")
 
 
 def make_parser() -> argparse.ArgumentParser:

@@ -2,9 +2,9 @@
 
 The minimum-witness problem splits into two formal problems: the smallest set
 of witnesses covering every target (set cover), and the smallest covering
-every target exactly once (exact cover). Their divergence on a relation is
-what ``paradox_detect`` reports; the verdict resolves it by falling back to
-self-pairing witnesses.
+every target exactly once (exact cover). ``minimize`` solves both once per
+relation; their divergence is the witness deadlock it reports, and its
+verdict resolves the deadlock by falling back to self-pairing witnesses.
 """
 
 from __future__ import annotations
@@ -31,6 +31,11 @@ class Regime(enum.Enum):
     INCOMPRESSIBLE = "Incompressible"
     OVERCOMPLETE = "Overcomplete"
 
+    @classmethod
+    def of(cls, m: int, q: int) -> "Regime":
+        """The regime a witness count m names against q targets."""
+        return cls.COMPRESSIBLE if m < q else cls.INCOMPRESSIBLE if m == q else cls.OVERCOMPLETE
+
 
 @dataclass(frozen=True)
 class CoverSolution:
@@ -51,6 +56,19 @@ class CompressibilityVerdict:
     regime: Regime
     paradox: bool
     notes: str = ""
+
+
+@dataclass(frozen=True)
+class Minimization:
+    """Step 3 over one relation: both covers, the injective assignment (None
+    when none saturates the targets), the deadlock test and the verdict."""
+
+    min_cover: CoverSolution
+    exact_cover: CoverSolution
+    assignment: dict[int, int] | None
+    paradox: bool
+    narrative: str
+    verdict: CompressibilityVerdict
 
 
 def _masks(rel: WitnessRelation) -> tuple[int, list[int]]:
@@ -261,55 +279,52 @@ def _simulate_discard(rel: WitnessRelation) -> tuple[bool, str]:
 
     Only witnesses whose removal strands nobody are discarded (smallest first,
     scanning targets ascending). Returns (reached single coverage, narrative).
+
+    One forward pass suffices: a witness that strands a target keeps stranding
+    it, and a singly covered target stays so, so no skipped (target, witness)
+    pair ever becomes discardable later.
     """
     active: dict[int, set[int]] = {
         t: set(rel.candidates[j] for j in row)
         for t, row in zip(rel.targets, rel.incidence)
     }
+    holders: dict[int, set[int]] = {}  # witness -> targets still holding it
+    for t, ws in active.items():
+        for w in ws:
+            holders.setdefault(w, set()).add(t)
     discarded: list[int] = []
-    while True:
-        multi = [t for t in rel.targets if len(active[t]) > 1]
-        if not multi:
-            kept = sorted({w for ws in active.values() for w in ws})
-            chain = f"discarded {discarded}" if discarded else "nothing to discard"
-            return True, f"{chain}; single coverage reached with witnesses {kept}"
-        progressed = False
-        for t in multi:
-            for w in sorted(active[t]):
-                stranded = [u for u, ws in active.items() if ws == {w}]
-                if stranded:
-                    continue
-                for ws in active.values():
-                    ws.discard(w)
-                discarded.append(w)
-                progressed = True
-                break
-            if progressed:
-                break
-        if not progressed:
-            t = multi[0]
-            blockers = "; ".join(
-                f"discarding {w} strands {sorted(u for u, ws in active.items() if ws == {w})}"
-                for w in sorted(active[t])
-            )
-            prefix = f"after discarding {discarded}, " if discarded else ""
-            return False, (
-                f"{prefix}target {t} still holds witnesses "
-                f"{sorted(active[t])}: {blockers}"
-            )
+    for t in rel.targets:
+        for w in sorted(active[t]):
+            if any(len(active[u]) == 1 for u in holders[w]):
+                continue
+            for u in holders.pop(w):
+                active[u].discard(w)
+            discarded.append(w)
+    multi = [t for t in rel.targets if len(active[t]) > 1]
+    if not multi:
+        chain = f"discarded {discarded}" if discarded else "nothing to discard"
+        return True, f"{chain}; single coverage reached with witnesses {sorted(holders)}"
+    t = multi[0]
+    blockers = "; ".join(
+        f"discarding {w} strands {sorted(u for u in holders[w] if len(active[u]) == 1)}"
+        for w in sorted(active[t])
+    )
+    prefix = f"after discarding {discarded}, " if discarded else ""
+    return False, (
+        f"{prefix}target {t} still holds witnesses {sorted(active[t])}: {blockers}"
+    )
 
 
-def paradox_detect(
-    rel: WitnessRelation, exact_threshold: int = DEFAULT_EXACT_THRESHOLD
+def _deadlock(
+    rel: WitnessRelation, cover: CoverSolution, exact: CoverSolution
 ) -> tuple[bool, str]:
-    """Detect the witness deadlock: cover says compress, discard rule cannot.
+    """The witness deadlock: cover says compress, discard rule cannot.
 
     True iff the minimum cover is smaller than the target count (a shared
     witness exists), every target is multiply witnessed (an apparent excess),
     and yet no exact cover smaller than the target count exists, so the
     discard rule strands targets instead of shrinking the pool.
     """
-    _require_covered(rel)
     if not rel.targets:
         return False, "no targets"
     least = min(len(row) for row in rel.incidence)
@@ -317,10 +332,8 @@ def paradox_detect(
         t = next(t for t, row in zip(rel.targets, rel.incidence) if len(row) == least)
         return False, f"target {t} has a single witness; nothing to discard there"
     q = len(rel.targets)
-    cover = min_set_cover(rel, exact_threshold)
     if cover.m >= q:
         return False, f"minimum cover {cover.m} is not below the target count {q}"
-    exact = exact_cover(rel)
     if exact.kind is CoverKind.EXACT_COVER and exact.m < q:
         return False, (
             f"exact cover {list(exact.chosen)} reaches single coverage with "
@@ -330,38 +343,32 @@ def paradox_detect(
     return True, narrative
 
 
-def compressibility_verdict(
-    rel: WitnessRelation, q: int, exact_threshold: int = DEFAULT_EXACT_THRESHOLD
-) -> CompressibilityVerdict:
-    """Compare the witness count m against q and name the regime.
+def minimize(rel: WitnessRelation, exact_threshold: int) -> Minimization:
+    """Solve each cover once; the deadlock test and the verdict read those covers.
 
+    Every target must have a witness; restrict the relation first otherwise.
     A detected deadlock is resolved the only way the construction allows:
     every target witnesses itself, so m becomes q and the bitstring counts as
     incompressible.
     """
-    if q != len(rel.targets):
-        raise DomainError(
-            f"q = {q} does not match the relation's {len(rel.targets)} targets"
-        )
-    if not rel.targets:
-        return CompressibilityVerdict(
+    cover = min_set_cover(rel, exact_threshold)
+    exact = exact_cover(rel)
+    _, assignment = unique_witness_assignment(rel)
+    paradox, narrative = _deadlock(rel, cover, exact)
+    q = len(rel.targets)
+    if not q:
+        verdict = CompressibilityVerdict(
             0, 0, Regime.INCOMPRESSIBLE, False, "empty target set; trivially settled"
         )
-    paradox, narrative = paradox_detect(rel, exact_threshold)
-    if paradox:
-        return CompressibilityVerdict(
+    elif paradox:
+        verdict = CompressibilityVerdict(
             q,
             q,
             Regime.INCOMPRESSIBLE,
             True,
             f"witness deadlock: {narrative}; resolved by self-pairing witnesses",
         )
-    cover = min_set_cover(rel, exact_threshold)
-    if cover.m < q:
-        regime = Regime.COMPRESSIBLE
-    elif cover.m == q:
-        regime = Regime.INCOMPRESSIBLE
     else:
-        regime = Regime.OVERCOMPLETE
-    note = "" if cover.kind is CoverKind.EXACT_MINIMUM else f"cover is {cover.kind.value}"
-    return CompressibilityVerdict(cover.m, q, regime, False, note)
+        note = "" if cover.kind is CoverKind.EXACT_MINIMUM else f"cover is {cover.kind.value}"
+        verdict = CompressibilityVerdict(cover.m, q, Regime.of(cover.m, q), False, note)
+    return Minimization(cover, exact, assignment, paradox, narrative, verdict)

@@ -10,21 +10,18 @@ both the raw and the resolved classifications are reported.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import asin, sin, sqrt
 
 from .classify import RandomnessRegime, classify, schmidt
 from .cover import (
     DEFAULT_EXACT_THRESHOLD,
-    CoverSolution,
     CompressibilityVerdict,
+    CoverSolution,
+    Minimization,
     Regime,
-    compressibility_verdict,
-    exact_cover,
-    min_set_cover,
-    paradox_detect,
-    unique_witness_assignment,
+    minimize,
 )
 from .errors import DomainError, QubitCapError
 from .quantum import (
@@ -34,7 +31,6 @@ from .quantum import (
     MarkedOracle,
     RegisterLayout,
     apply_marking,
-    classical_marked_count,
     counting_error_bound,
     grover_iterations_optimal,
     grover_trace,
@@ -43,6 +39,7 @@ from .quantum import (
     quantum_count,
 )
 from .sequences import (
+    BitString,
     IdentityIn,
     IsComposite,
     IsEven,
@@ -52,9 +49,9 @@ from .sequences import (
     RecurrenceMembership,
     Sequence,
     build_bitstring,
-    satisfying_set,
 )
 from .witnesses import (
+    CoverageReport,
     WitnessRelation,
     coverage_check,
     relation_composite,
@@ -120,8 +117,7 @@ class RandomnessReport:
     sequence_label: str
     sequence_elements: tuple[int, ...]
     question: str
-    bitstring: str
-    bit_popcount: int
+    bits: BitString
     q: int  # target count of the witness relation (what the oracle marks)
     relation: RelationSummary
     min_cover: CoverSolution
@@ -138,6 +134,14 @@ class RandomnessReport:
     randomness_raw: ClassifiedState | None
     randomness_assigned: ClassifiedState | None
     notes: tuple[str, ...] = field(default_factory=tuple)
+
+    @property
+    def bitstring(self) -> str:
+        return self.bits.text()
+
+    @property
+    def bit_popcount(self) -> int:
+        return self.bits.popcount()
 
     def to_dict(self) -> dict:
         """Canonical, JSON-ready view with a stable field order."""
@@ -322,7 +326,7 @@ def _run_quantum(seq: Sequence, relation: WitnessRelation, options: AnalyzeOptio
         return QuantumBlock(skipped=True, reason=str(exc)), None
     oracle = MarkedOracle.from_relation(seq.elements, relation)
     n_support = oracle.support
-    m_marked = classical_marked_count(oracle)
+    m_marked = len(oracle.marked)
     counting = quantum_count(oracle, n_support, options.phase_bits)
     if m_marked == 0:
         return (
@@ -391,6 +395,18 @@ def _assigned_relation(
     )
 
 
+def minimize_covered(
+    relation: WitnessRelation, coverage: CoverageReport, exact_threshold: int
+) -> tuple[WitnessRelation, Minimization]:
+    """Drop the targets without a witness, then minimize the rest."""
+    restricted = (
+        relation.restrict_targets(set(relation.targets) - set(coverage.uncovered))
+        if coverage.uncovered
+        else relation
+    )
+    return restricted, minimize(restricted, exact_threshold)
+
+
 @contextmanager
 def _stage(name: str):
     """Attribute domain errors to the pipeline stage raising them."""
@@ -406,7 +422,7 @@ def analyze(
     """Run the whole pipeline and assemble the report."""
     with _stage("bitstring"):
         bits = build_bitstring(seq, question)
-        satisfying = satisfying_set(seq, question)
+        satisfying = bits.satisfying()
     with _stage("witness relation"):
         relation, faithful = relation_for(seq, question, satisfying)
         coverage = coverage_check(relation)
@@ -415,33 +431,14 @@ def analyze(
         notes.append(
             f"uncovered targets {list(coverage.uncovered)} excluded from minimization"
         )
-    restricted = (
-        relation.restrict_targets(set(relation.targets) - set(coverage.uncovered))
-        if coverage.uncovered
-        else relation
-    )
-
     with _stage("minimization"):
-        min_cov = min_set_cover(restricted, options.exact_threshold)
-        exact_cov = exact_cover(restricted)
-        uwa_ok, assignment = unique_witness_assignment(restricted)
-        paradox, narrative = paradox_detect(restricted, options.exact_threshold)
-        verdict = compressibility_verdict(
-            restricted, len(restricted.targets), options.exact_threshold
-        )
+        restricted, mini = minimize_covered(relation, coverage, options.exact_threshold)
 
-    resolution_applied = False
+    verdict = mini.verdict
     resolved_relation = None
-    if paradox:
-        resolution_applied = True
+    if mini.paradox:
         resolved_relation = relation_identity(satisfying)
-        verdict = CompressibilityVerdict(
-            m=satisfying.q,
-            q=satisfying.q,
-            regime=Regime.INCOMPRESSIBLE,
-            paradox=True,
-            notes=f"witness deadlock: {narrative}; resolved by self-pairing witnesses",
-        )
+        verdict = replace(mini.verdict, m=satisfying.q, q=satisfying.q)
         notes.append("self-pairing resolution applied over the full satisfying set")
 
     ratio = Fraction(verdict.m, verdict.q) if verdict.q else None
@@ -474,18 +471,19 @@ def analyze(
                 return _classified(state, sub, basis="assigned")
 
             cover_class = classify_sub(
-                _assigned_relation(restricted, None, min_cov), "assigned"
+                _assigned_relation(restricted, None, mini.min_cover), "assigned"
             )
-            if uwa_ok:
+            if mini.assignment is not None:
                 assigned_class = classify_sub(
-                    _assigned_relation(restricted, assignment, min_cov), "assigned"
+                    _assigned_relation(restricted, mini.assignment, mini.min_cover),
+                    "assigned",
                 )
             else:
                 assigned_class = cover_class
         if not relation.pairs() and satisfying.q == 0:
             primary = _TRIVIAL_EMPTY
         elif options.run_quantum:
-            if resolution_applied:
+            if mini.paradox:
                 state, reason = _post_selected(
                     seq.elements, resolved_relation, options.qubit_cap
                 )
@@ -515,17 +513,16 @@ def analyze(
         sequence_label=seq.label,
         sequence_elements=seq.elements,
         question=question.describe(),
-        bitstring=bits.text(),
-        bit_popcount=bits.popcount(),
+        bits=bits,
         q=len(relation.targets),
         relation=summary,
-        min_cover=min_cov,
-        exact_cover_solution=exact_cov,
-        assignment_exists=uwa_ok,
-        assignment=None if assignment is None else tuple(assignment.items()),
-        paradox=paradox,
-        paradox_narrative=narrative,
-        resolution_applied=resolution_applied,
+        min_cover=mini.min_cover,
+        exact_cover_solution=mini.exact_cover,
+        assignment_exists=mini.assignment is not None,
+        assignment=None if mini.assignment is None else tuple(mini.assignment.items()),
+        paradox=mini.paradox,
+        paradox_narrative=mini.narrative,
+        resolution_applied=mini.paradox,
         verdict=verdict,
         compression_ratio=ratio,
         quantum=quantum_block,
@@ -543,14 +540,7 @@ def cross_check(report: RandomnessReport) -> list[str]:
     """
     findings: list[str] = []
     v = report.verdict
-    expected = (
-        Regime.COMPRESSIBLE
-        if v.m < v.q
-        else Regime.INCOMPRESSIBLE
-        if v.m == v.q
-        else Regime.OVERCOMPLETE
-    )
-    if v.regime is not expected:
+    if v.regime is not Regime.of(v.m, v.q):
         findings.append(f"regime inconsistent with m,q: {v.regime.value} for m={v.m}, q={v.q}")
 
     if (

@@ -137,11 +137,6 @@ class MarkedOracle:
         return len(self.s_values) * len(self.w_values)
 
 
-def classical_marked_count(oracle: MarkedOracle) -> int:
-    """Direct tally of marked pairs; the non-quantum shortcut for cross-checks."""
-    return len(oracle.marked)
-
-
 def prepare_superposition(
     s_values, w_values, cap: int = DEFAULT_QUBIT_CAP
 ) -> StateVector:

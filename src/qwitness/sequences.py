@@ -175,6 +175,9 @@ class BitString:
         lines += [f"{e},{b}" for e, b in zip(self.elements, self.bits)]
         return "\n".join(lines) + "\n"
 
+    def satisfying(self) -> "SatisfyingSet":
+        return SatisfyingSet(tuple(e for e, b in zip(self.elements, self.bits) if b))
+
 
 @dataclass(frozen=True)
 class SatisfyingSet:
@@ -205,5 +208,4 @@ def build_bitstring(seq: Sequence, question: Question) -> BitString:
 
 
 def satisfying_set(seq: Sequence, question: Question) -> SatisfyingSet:
-    bs = build_bitstring(seq, question)
-    return SatisfyingSet(tuple(e for e, b in zip(bs.elements, bs.bits) if b))
+    return build_bitstring(seq, question).satisfying()

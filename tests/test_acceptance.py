@@ -14,7 +14,14 @@ from math import asin, log2, sin, sqrt
 import pytest
 
 from qwitness.classify import schmidt
-from qwitness.cover import CoverKind, Regime, min_set_cover, paradox_detect, unique_witness_assignment
+from qwitness.cover import (
+    DEFAULT_EXACT_THRESHOLD,
+    CoverKind,
+    Regime,
+    min_set_cover,
+    minimize,
+    unique_witness_assignment,
+)
 from qwitness.cli import main
 from qwitness.number_theory import mobius, mobius_sieve, squarefree_support
 from qwitness.pipeline import analyze
@@ -94,8 +101,7 @@ def test_criterion_3_mobius_paradox():
         covered = rel.restrict_targets(
             t for t, row in zip(rel.targets, rel.incidence) if row
         )
-        detected, _ = paradox_detect(covered)
-        assert detected, seq.label
+        assert minimize(covered, DEFAULT_EXACT_THRESHOLD).paradox, seq.label
 
     # exhaustive verification on the {15,21,35} sub-instance
     tri = fixture_relation((15, 21, 35), (3, 5, 7), {15: (3, 5), 21: (3, 7), 35: (5, 7)})

@@ -230,6 +230,27 @@ class TestConfigAndErrors:
         ])
         assert code == 4
 
+    @pytest.mark.parametrize(
+        "argv, env, config",
+        [
+            (["--list", "1,a,3", "--question", "even"], None, None),
+            (["--range", "2", "10", "--question", "even"], "abc", None),
+            (["--question", "even"], None, {"range": [2]}),
+            (["--question", "even"], None, {"range": [2, 10], "phase_bits": "x"}),
+        ],
+        ids=["list-element", "env-ceiling", "range-arity", "config-phase-bits"],
+    )
+    def test_malformed_numbers_exit_two(self, tmp_path, monkeypatch, capsys, argv, env, config):
+        if env is not None:
+            monkeypatch.setenv("QWITNESS_QUBIT_CAP", env)
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            argv = [*argv, "--config", str(cfg)]
+        code = main(["analyze", *argv, "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("qwitness: ")
+
     def test_no_quantum_flag(self, tmp_path):
         code, out = run(
             tmp_path, "analyze", "--range", "2", "30", "--question", "composite",

@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwitness.cover import (
+    DEFAULT_EXACT_THRESHOLD,
     CoverKind,
     Regime,
-    compressibility_verdict,
+    _simulate_discard,
     exact_cover,
     min_set_cover,
-    paradox_detect,
+    minimize,
     unique_witness_assignment,
 )
 from qwitness.errors import DomainError
@@ -63,6 +64,49 @@ def brute_force_exact_covers(rel):
             if all(len(row & picked) == 1 for row in rows):
                 out.append(sub)
     return out
+
+
+def reference_discard(rel):
+    """The discard replay as first written, rescanning every target per check."""
+    active = {
+        t: set(rel.candidates[j] for j in row)
+        for t, row in zip(rel.targets, rel.incidence)
+    }
+    discarded = []
+    while True:
+        multi = [t for t in rel.targets if len(active[t]) > 1]
+        if not multi:
+            kept = sorted({w for ws in active.values() for w in ws})
+            chain = f"discarded {discarded}" if discarded else "nothing to discard"
+            return True, f"{chain}; single coverage reached with witnesses {kept}"
+        progressed = False
+        for t in multi:
+            for w in sorted(active[t]):
+                stranded = [u for u, ws in active.items() if ws == {w}]
+                if stranded:
+                    continue
+                for ws in active.values():
+                    ws.discard(w)
+                discarded.append(w)
+                progressed = True
+                break
+            if progressed:
+                break
+        if not progressed:
+            t = multi[0]
+            blockers = "; ".join(
+                f"discarding {w} strands {sorted(u for u, ws in active.items() if ws == {w})}"
+                for w in sorted(active[t])
+            )
+            prefix = f"after discarding {discarded}, " if discarded else ""
+            return False, (
+                f"{prefix}target {t} still holds witnesses "
+                f"{sorted(active[t])}: {blockers}"
+            )
+
+
+def mini(rel):
+    return minimize(rel, DEFAULT_EXACT_THRESHOLD)
 
 
 def random_relation(rng, max_targets=12, max_candidates=12):
@@ -196,25 +240,24 @@ class TestUniqueWitnessAssignment:
 
 class TestParadoxDetect:
     def test_mobius_triple(self):
-        detected, narrative = paradox_detect(MOBIUS_TRIPLE)
-        assert detected
-        assert "strands" in narrative
+        result = mini(MOBIUS_TRIPLE)
+        assert result.paradox
+        assert "strands" in result.narrative
 
     def test_composite_has_single_witness_targets(self):
-        detected, narrative = paradox_detect(relation_composite(Sequence.from_range(2, 100)))
-        assert not detected
-        assert "single witness" in narrative
+        result = mini(relation_composite(Sequence.from_range(2, 100)))
+        assert not result.paradox
+        assert "single witness" in result.narrative
 
     def test_identity_never(self):
-        detected, _ = paradox_detect(relation_identity(SatisfyingSet((1, 6, 10))))
-        assert not detected
+        assert not mini(relation_identity(SatisfyingSet((1, 6, 10)))).paradox
 
     def test_small_exact_cover_defuses(self):
         # every target doubly witnessed, but one witness covers all exactly once
         rel = make_relation((6, 10), (2, 3, 5), {6: (2, 3), 10: (2, 5)})
-        detected, narrative = paradox_detect(rel)
-        assert not detected
-        assert "exact cover" in narrative
+        result = mini(rel)
+        assert not result.paradox
+        assert "exact cover" in result.narrative
 
     def test_mobius_supports_beyond_thirteen(self):
         for n in (13, 20, 25):
@@ -222,25 +265,23 @@ class TestParadoxDetect:
             covered = rel.restrict_targets(
                 t for t, row in zip(rel.targets, rel.incidence) if row
             )
-            detected, _ = paradox_detect(covered)
-            assert detected, f"support({n}) should deadlock"
+            assert mini(covered).paradox, f"support({n}) should deadlock"
 
     def test_mobius_support_ten_does_not(self):
         rel = relation_mobius(Sequence.from_values(squarefree_support(10), "sf"))
         covered = rel.restrict_targets((6, 10, 14))
-        detected, _ = paradox_detect(covered)
-        assert not detected  # {2} covers each of 6, 10, 14 exactly once
+        assert not mini(covered).paradox  # {2} covers each of 6, 10, 14 exactly once
 
 
 class TestCompressibilityVerdict:
     def test_recurrence(self):
         rel = relation_recurrence(Sequence.from_range(1, 20), 2, 1)
-        v = compressibility_verdict(rel, 10)
+        v = mini(rel).verdict
         assert (v.m, v.q, v.regime, v.paradox) == (1, 10, Regime.COMPRESSIBLE, False)
 
     def test_composite(self):
         rel = relation_composite(Sequence.from_range(2, 100))
-        v = compressibility_verdict(rel, 74)
+        v = mini(rel).verdict
         assert (v.m, v.q, v.regime) == (4, 74, Regime.COMPRESSIBLE)
 
     def test_mobius_deadlock_resolves_incompressible(self):
@@ -248,19 +289,45 @@ class TestCompressibilityVerdict:
         covered = rel.restrict_targets(
             t for t, row in zip(rel.targets, rel.incidence) if row
         )
-        v = compressibility_verdict(covered, len(covered.targets))
+        v = mini(covered).verdict
         assert v.paradox
         assert v.m == v.q == len(covered.targets)
         assert v.regime is Regime.INCOMPRESSIBLE
 
-    def test_q_cross_checked(self):
-        with pytest.raises(DomainError):
-            compressibility_verdict(MOBIUS_TRIPLE, 4)
-
     def test_empty_relation(self):
-        v = compressibility_verdict(relation_identity(SatisfyingSet(())), 0)
+        v = mini(relation_identity(SatisfyingSet(()))).verdict
         assert v.m == v.q == 0
         assert v.regime is Regime.INCOMPRESSIBLE
+
+
+@given(st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=150)
+def test_paradox_matches_brute_force_definition(seed):
+    rel = random_relation(random.Random(seed), max_targets=7, max_candidates=7)
+    q = len(rel.targets)
+    exact_sizes = [len(sub) for sub in brute_force_exact_covers(rel)]
+    expected = (
+        all(len(row) >= 2 for row in rel.incidence)
+        and brute_force_min_cover(rel) < q
+        and not any(size < q for size in exact_sizes)
+    )
+    assert mini(rel).paradox == expected
+
+
+@given(st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=100)
+def test_discard_replay_matches_reference(seed):
+    rel = random_relation(random.Random(seed))
+    assert _simulate_discard(rel) == reference_discard(rel)
+
+
+def test_discard_replay_matches_reference_on_mobius_supports():
+    for n in (13, 25, 60):
+        rel = relation_mobius(Sequence.from_values(squarefree_support(n), "sf"))
+        covered = rel.restrict_targets(
+            t for t, row in zip(rel.targets, rel.incidence) if row
+        )
+        assert _simulate_discard(covered) == reference_discard(covered)
 
 
 @given(st.integers(min_value=0, max_value=2**32))

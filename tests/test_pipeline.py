@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import sys
 from fractions import Fraction
 from math import isqrt, log2
 
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qwitness.cover
+import qwitness.sequences
 from qwitness.cover import Regime
 from qwitness.number_theory import prime_pi, squarefree_support
 from qwitness.pipeline import AnalyzeOptions, analyze, cross_check
@@ -222,3 +225,40 @@ class TestReportSerialization:
         report = analyze(sf_seq(20), MobiusPlusOne())
         blob = json.dumps(report.to_dict())
         assert json.loads(blob) == report.to_dict()
+
+
+class TestComputeOnce:
+    COUNTED = (
+        (qwitness.cover, "min_set_cover"),
+        (qwitness.cover, "exact_cover"),
+        (qwitness.cover, "unique_witness_assignment"),
+        (qwitness.cover, "_simulate_discard"),
+        (qwitness.sequences, "build_bitstring"),
+    )
+
+    def counted(self, monkeypatch):
+        """Count calls at every qwitness module binding of each counted function."""
+        calls = {}
+        for module, name in self.COUNTED:
+            original = getattr(module, name)
+            calls[name] = 0
+
+            def wrapper(*args, _fn=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            for mod_name, mod in list(sys.modules.items()):
+                if mod_name.split(".")[0] == "qwitness" and getattr(mod, name, None) is original:
+                    monkeypatch.setattr(mod, name, wrapper)
+        return calls
+
+    @pytest.mark.parametrize(
+        "seq, question",
+        [(sf_seq(25), MobiusPlusOne()), (Sequence.from_range(2, 100), IsComposite())],
+        ids=["sf25-mobius", "composite-2-100"],
+    )
+    def test_each_solver_runs_at_most_once(self, monkeypatch, seq, question):
+        calls = self.counted(monkeypatch)
+        analyze(seq, question)
+        assert all(n <= 1 for n in calls.values()), calls
+        assert calls["min_set_cover"] == calls["build_bitstring"] == 1
