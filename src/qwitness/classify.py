@@ -43,12 +43,12 @@ class RandomnessClass:
     regime: RandomnessRegime
     entropy_bits: float
     blocks: tuple[tuple[int, tuple[int, ...]], ...] | None  # (witness, elements)
+    spectrum: SchmidtSpectrum
 
 
 def _flag_matrix(state: StateVector) -> np.ndarray:
     """Amplitudes as an (s, w) matrix on whichever flag slice carries the state."""
-    layout = state.layout
-    grid = state.amplitudes.reshape(1 << layout.s_qubits, 1 << layout.w_qubits, 2)
+    grid = state.amplitudes
     mass = [float(np.sum(np.abs(grid[:, :, f]) ** 2)) for f in (0, 1)]
     if mass[0] > _AMP_TOL and mass[1] > _AMP_TOL:
         raise DomainError("flag register carries weight on both values; post-select first")
@@ -85,8 +85,8 @@ def entanglement_entropy(spectrum: SchmidtSpectrum) -> float:
 def _marked_pairs(state: StateVector) -> list[tuple[int, int, complex]]:
     matrix = _flag_matrix(state)
     out = []
-    for s, w in zip(*np.nonzero(np.abs(matrix) > _AMP_TOL)):
-        out.append((int(s), int(w), complex(matrix[s, w])))
+    for i, j in zip(*np.nonzero(np.abs(matrix) > _AMP_TOL)):
+        out.append((state.s_values[i], state.w_values[j], complex(matrix[i, j])))
     return out
 
 
@@ -114,10 +114,10 @@ def classify(state: StateVector, relation: WitnessRelation) -> RandomnessClass:
         by_s.setdefault(s, set()).add(w)
         by_w.setdefault(w, []).append(s)
     if any(len(ws) > 1 for ws in by_s.values()):
-        return RandomnessClass(RandomnessRegime.NON_CANONICAL, entropy, None)
+        return RandomnessClass(RandomnessRegime.NON_CANONICAL, entropy, None, spectrum)
     mags = [abs(a) for *_, a in pairs]
     if max(mags) - min(mags) > _UNIFORM_TOL:
-        return RandomnessClass(RandomnessRegime.NON_CANONICAL, entropy, None)
+        return RandomnessClass(RandomnessRegime.NON_CANONICAL, entropy, None, spectrum)
     blocks = tuple(
         (w, tuple(sorted(elems))) for w, elems in sorted(by_w.items())
     )
@@ -129,16 +129,18 @@ def classify(state: StateVector, relation: WitnessRelation) -> RandomnessClass:
         regime = RandomnessRegime.NO_RANDOMNESS
     else:
         regime = RandomnessRegime.PARTIAL
-    return RandomnessClass(regime, entropy, blocks)
+    return RandomnessClass(regime, entropy, blocks, spectrum)
 
 
 def conditional_information(state: StateVector, w: int) -> list[tuple[int, float]]:
     """The conditional distribution over s given the w register reads ``w``."""
     matrix = _flag_matrix(state)
-    if w >= matrix.shape[1]:
-        raise DomainError(f"witness value {w} outside the register range")
-    column = np.abs(matrix[:, w]) ** 2
+    if w not in state.w_values:
+        raise DomainError(f"witness value {w} outside the w register")
+    column = np.abs(matrix[:, state.w_values.index(w)]) ** 2
     total = float(column.sum())
     if total <= _AMP_TOL:
         raise DomainError(f"witness value {w} unseen in the marked support")
-    return [(int(s), float(column[s] / total)) for s in np.flatnonzero(column > _AMP_TOL)]
+    return [
+        (state.s_values[i], float(column[i] / total)) for i in np.flatnonzero(column > _AMP_TOL)
+    ]

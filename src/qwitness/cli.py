@@ -21,11 +21,11 @@ from . import __version__
 from .errors import DomainError, QubitCapError
 from .pipeline import AnalyzeOptions, analyze, cross_check, minimize_covered, relation_for
 from .quantum import (
+    MAX_PHASE_BITS,
     MarkedOracle,
     RegisterLayout,
-    grover_amplify,
     grover_iterations_optimal,
-    grover_trace,
+    grover_run,
     prepare_superposition,
     quantum_count,
 )
@@ -187,8 +187,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if fmt == "both" and out is None:
         raise DomainError("--format both needs --out to place the two files")
     phase_bits = _integer(merged["phase_bits"], "phase_bits")
-    if phase_bits < 1:
-        raise DomainError("--phase-bits must be >= 1")
+    if not 1 <= phase_bits <= MAX_PHASE_BITS:
+        raise DomainError(f"--phase-bits must be in 1..{MAX_PHASE_BITS}, got {phase_bits}")
     exact_threshold = _integer(merged["exact_threshold"], "exact_threshold")
     if exact_threshold < 0:
         raise DomainError("--exact-threshold must be >= 0")
@@ -307,8 +307,7 @@ def cmd_simulate(config: RunConfig) -> int:
     prepared = prepare_superposition(
         config.sequence.elements, relation.candidates, config.qubit_cap
     )
-    trace = grover_trace(prepared, oracle, iterations)
-    amplified = grover_amplify(prepared, oracle, iterations)
+    trace, amplified = grover_run(prepared, oracle, iterations)
     counting = quantum_count(oracle, oracle.support, config.phase_bits)
     body = {
         "layout": {
@@ -350,7 +349,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--qubit-cap", dest="qubit_cap", type=int,
                         help="register budget for the quantum stage (default 24)")
     parser.add_argument("--phase-bits", dest="phase_bits", type=int,
-                        help="counting precision t (default 6)")
+                        help=f"counting precision t, 1..{MAX_PHASE_BITS} (default 6)")
     parser.add_argument("--exact-threshold", dest="exact_threshold", type=int,
                         help="max targets for exact minimization; greedy with "
                              "an explicit tag above it (default 24)")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import asin, sin, sqrt
 
-from .classify import RandomnessRegime, classify, schmidt
+from .classify import RandomnessRegime, classify
 from .cover import (
     DEFAULT_EXACT_THRESHOLD,
     CompressibilityVerdict,
@@ -293,13 +293,12 @@ def _post_selected(s_values, relation: WitnessRelation, cap: int):
 
 def _classified(state, relation: WitnessRelation, basis: str) -> ClassifiedState:
     cls = classify(state, relation)
-    spectrum = schmidt(state)
     return ClassifiedState(
         basis=basis,
         regime=cls.regime.value,
         entropy_bits=cls.entropy_bits,
-        schmidt_rank=spectrum.rank,
-        schmidt_coefficients=spectrum.coefficients,
+        schmidt_rank=cls.spectrum.rank,
+        schmidt_coefficients=cls.spectrum.coefficients,
         blocks=cls.blocks,
     )
 

@@ -1,25 +1,31 @@
-"""Desk-scale statevector simulation of the marking, search, and counting stages.
+"""Desk-scale simulation of the marking, search, and counting stages.
 
 Registers are value-encoded: a basis index is the bit concatenation of the
 s value, the w value, and a one-qubit answer flag, so |s>|w>|0> literally
-carries the integers. The preparation amplitude is 1/sqrt(n*m) over the
-n*m populated configurations, which is the unit-norm reading of an equally
-weighted superposition over the two value sets (the nominal 1/sqrt(2^(n+m))
-prefactor does not normalize such a state and is recorded in reports
-as-written).
+carries the integers. Only the n*m configurations built from the two value
+sets can ever carry weight, so a state is stored support-indexed: an
+(n, m, 2) array over (s values, w values, flag). The register layout decides
+whether the stage fits the qubit cap and names the basis index of each
+emitted amplitude; nothing is allocated per basis state. The preparation
+amplitude is 1/sqrt(n*m) over the n*m populated configurations, which is the
+unit-norm reading of an equally weighted superposition over the two value
+sets (the nominal 1/sqrt(2^(n+m)) prefactor does not normalize such a state
+and is recorded in reports as-written).
 
-Amplification and counting act on the n*m-point support: the oracle flips the
-phase of marked (s, w) pairs and the diffuser inverts about the uniform state
-over the support, which keeps the textbook rotation angle
-theta = arcsin(sqrt(M/N)) with N = n*m. Counting is textbook phase estimation
-of that rotation: the t-bit phase register distribution is computed exactly
-from the operator's trajectory, no sampling involved.
+Amplification acts on the flag-0 slice: the oracle flips the phase of marked
+(s, w) pairs and the diffuser inverts about the uniform state over the
+support, which keeps the textbook rotation angle theta = arcsin(sqrt(M/N))
+with N = n*m. Counting is textbook phase estimation of that rotation. Both
+steps keep every marked amplitude equal and every unmarked amplitude equal,
+so the t-bit phase register distribution is computed exactly from two scalar
+trajectories, no sampling involved, in memory that depends on t only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import cos, floor, pi, sqrt
 
 import numpy as np
@@ -28,6 +34,7 @@ from .errors import DomainError, QubitCapError
 
 DEFAULT_QUBIT_CAP = 24
 DEFAULT_PHASE_BITS = 6
+MAX_PHASE_BITS = 20
 
 _NORM_TOL = 1e-12
 
@@ -46,10 +53,6 @@ class RegisterLayout:
     @property
     def total_qubits(self) -> int:
         return self.s_qubits + self.w_qubits + self.flag_qubits
-
-    @property
-    def dim(self) -> int:
-        return 1 << self.total_qubits
 
     def index(self, s: int, w: int, flag: int) -> int:
         return (s << (self.w_qubits + 1)) | (w << 1) | flag
@@ -73,13 +76,17 @@ class RegisterLayout:
 
 @dataclass
 class StateVector:
+    """Amplitudes over (s_values, w_values, flag); every other basis state is zero."""
+
     amplitudes: np.ndarray
+    s_values: tuple[int, ...]
+    w_values: tuple[int, ...]
     layout: RegisterLayout
 
     def __post_init__(self):
         self.amplitudes = np.asarray(self.amplitudes, dtype=np.complex128)
-        if self.amplitudes.shape != (self.layout.dim,):
-            raise DomainError("amplitude vector does not match the register layout")
+        if self.amplitudes.shape != (len(self.s_values), len(self.w_values), 2):
+            raise DomainError("amplitude array does not match the value registers")
         if abs(np.linalg.norm(self.amplitudes) - 1.0) > _NORM_TOL:
             raise DomainError("state vector must have unit norm")
 
@@ -87,20 +94,22 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
     def amplitude(self, s: int, w: int, flag: int) -> complex:
-        return complex(self.amplitudes[self.layout.index(s, w, flag)])
+        if s not in self.s_values or w not in self.w_values:
+            return 0j
+        return complex(self.amplitudes[self.s_values.index(s), self.w_values.index(w), flag])
 
     def nonzero_pairs(self, tol: float = 1e-12) -> list[tuple[int, int, int, complex]]:
-        """(s, w, flag, amplitude) for every configuration carrying weight."""
-        out = []
-        for idx in np.flatnonzero(np.abs(self.amplitudes) > tol):
-            s, w, flag = self.layout.decode(int(idx))
-            out.append((s, w, flag, complex(self.amplitudes[idx])))
-        return out
+        """(s, w, flag, amplitude) for every configuration carrying weight, in basis order."""
+        out = [
+            (self.s_values[i], self.w_values[j], int(f), complex(self.amplitudes[i, j, f]))
+            for i, j, f in zip(*np.nonzero(np.abs(self.amplitudes) > tol))
+        ]
+        return sorted(out, key=lambda entry: self.layout.index(*entry[:3]))
 
     def to_json_entries(self, tol: float = 1e-12) -> list[list]:
         return [
-            [int(idx), float(self.amplitudes[idx].real), float(self.amplitudes[idx].imag)]
-            for idx in np.flatnonzero(np.abs(self.amplitudes) > tol)
+            [self.layout.index(s, w, f), a.real, a.imag]
+            for s, w, f, a in self.nonzero_pairs(tol)
         ]
 
 
@@ -129,8 +138,15 @@ class MarkedOracle:
             descriptor=relation.oracle_descriptor,
         )
 
-    def bit(self, s: int, w: int) -> int:
-        return 1 if (s, w) in self.marked else 0
+    @cached_property
+    def mask(self) -> np.ndarray:
+        """(n, m) truth table in (s_values, w_values) order."""
+        s_index = {s: i for i, s in enumerate(self.s_values)}
+        w_index = {w: j for j, w in enumerate(self.w_values)}
+        grid = np.zeros((len(self.s_values), len(self.w_values)), dtype=bool)
+        for s, w in self.marked:
+            grid[s_index[s], w_index[w]] = True
+        return grid
 
     @property
     def support(self) -> int:
@@ -150,34 +166,27 @@ def prepare_superposition(
     if len(set(w_values)) != len(w_values):
         raise DomainError("duplicate values in the w register")
     layout = RegisterLayout.for_values(s_values, w_values, cap)
-    amps = np.zeros(layout.dim, dtype=np.complex128)
-    amp = 1.0 / sqrt(len(s_values) * len(w_values))
-    for s in s_values:
-        for w in w_values:
-            amps[layout.index(s, w, 0)] = amp
-    return StateVector(amps, layout)
+    amps = np.zeros((len(s_values), len(w_values), 2), dtype=np.complex128)
+    amps[:, :, 0] = 1.0 / sqrt(len(s_values) * len(w_values))
+    return StateVector(amps, s_values, w_values, layout)
 
 
-def _support_indices(oracle: MarkedOracle, layout: RegisterLayout, flag: int) -> np.ndarray:
-    return np.array(
-        [layout.index(s, w, flag) for s in oracle.s_values for w in oracle.w_values],
-        dtype=np.int64,
-    )
+def _check_support(state: StateVector, oracle: MarkedOracle, flag: int | None) -> np.ndarray:
+    """A copy of the state's amplitudes in the oracle's (s, w) order.
 
-
-def _check_support(state: StateVector, oracle: MarkedOracle, flag: int | None) -> None:
-    allowed = set()
-    flags = (0, 1) if flag is None else (flag,)
-    for f in flags:
-        allowed.update(int(i) for i in _support_indices(oracle, state.layout, f))
-    outside = [
-        int(i)
-        for i in np.flatnonzero(np.abs(state.amplitudes) > _NORM_TOL)
-        if int(i) not in allowed
-    ]
-    if outside:
-        s, w, f = state.layout.decode(outside[0])
-        raise DomainError(f"state has weight on ({s}, {w}, flag={f}) outside the oracle support")
+    The value registers must hold the oracle's values; with ``flag`` given,
+    no weight may sit on the other flag value.
+    """
+    amps = state.amplitudes
+    if (state.s_values, state.w_values) != (oracle.s_values, oracle.w_values):
+        rows = {s: i for i, s in enumerate(state.s_values)}
+        cols = {w: j for j, w in enumerate(state.w_values)}
+        if rows.keys() != set(oracle.s_values) or cols.keys() != set(oracle.w_values):
+            raise DomainError("state value registers differ from the oracle support")
+        amps = amps[np.ix_([rows[s] for s in oracle.s_values], [cols[w] for w in oracle.w_values])]
+    if flag is not None and np.any(np.abs(amps[:, :, 1 - flag]) > _NORM_TOL):
+        raise DomainError(f"state has weight off flag={flag}")
+    return amps.copy()
 
 
 def apply_marking(state: StateVector, oracle: MarkedOracle) -> StateVector:
@@ -185,13 +194,9 @@ def apply_marking(state: StateVector, oracle: MarkedOracle) -> StateVector:
 
     A pure permutation of amplitudes, hence self-inverse and norm-preserving.
     """
-    _check_support(state, oracle, flag=None)
-    amps = state.amplitudes.copy()
-    for s, w in oracle.marked:
-        i0 = state.layout.index(s, w, 0)
-        i1 = state.layout.index(s, w, 1)
-        amps[i0], amps[i1] = amps[i1], amps[i0]
-    return StateVector(amps, state.layout)
+    amps = _check_support(state, oracle, flag=None)
+    amps[oracle.mask] = amps[oracle.mask][:, ::-1]
+    return StateVector(amps, oracle.s_values, oracle.w_values, state.layout)
 
 
 def grover_iterations_optimal(n_total: int, n_marked: int) -> int:
@@ -203,23 +208,6 @@ def grover_iterations_optimal(n_total: int, n_marked: int) -> int:
     return floor((pi / 4.0) * sqrt(n_total / n_marked))
 
 
-def _grover_step(amps: np.ndarray, support: np.ndarray, marked_mask: np.ndarray) -> None:
-    """One in-place round: phase flip on marked pairs, invert about the support mean."""
-    sub = amps[support]
-    sub[marked_mask] *= -1.0
-    sub = 2.0 * sub.mean() - sub
-    amps[support] = sub
-
-
-def _support_and_mask(state: StateVector, oracle: MarkedOracle) -> tuple[np.ndarray, np.ndarray]:
-    support = _support_indices(oracle, state.layout, flag=0)
-    marked_mask = np.array(
-        [oracle.bit(s, w) == 1 for s in oracle.s_values for w in oracle.w_values],
-        dtype=bool,
-    )
-    return support, marked_mask
-
-
 def marked_probability(state: StateVector, oracle: MarkedOracle) -> float:
     """Total probability on marked (s, w) pairs, flag ignored."""
     total = 0.0
@@ -228,29 +216,36 @@ def marked_probability(state: StateVector, oracle: MarkedOracle) -> float:
     return total
 
 
-def grover_amplify(state: StateVector, oracle: MarkedOracle, iterations: int) -> StateVector:
-    """Run ``iterations`` amplification rounds on a prepared state."""
+def grover_run(
+    state: StateVector, oracle: MarkedOracle, iterations: int
+) -> tuple[list[float], StateVector]:
+    """Marked probability after k = 0..iterations rounds, and the final state.
+
+    A round flips the phase of the marked pairs and inverts about the support
+    mean, on the flag-0 slice flattened in (s, w) order.
+    """
     if iterations < 0:
         raise DomainError("iteration count must be >= 0")
-    _check_support(state, oracle, flag=0)
-    support, marked_mask = _support_and_mask(state, oracle)
-    amps = state.amplitudes.copy()
+    amps = _check_support(state, oracle, flag=0)
+    sub = amps[:, :, 0].flatten()
+    marked_mask = oracle.mask.ravel()
+    trace = [float(np.sum(np.abs(sub[marked_mask]) ** 2))]
     for _ in range(iterations):
-        _grover_step(amps, support, marked_mask)
-    return StateVector(amps, state.layout)
+        sub[marked_mask] *= -1.0
+        sub = 2.0 * sub.mean() - sub
+        trace.append(float(np.sum(np.abs(sub[marked_mask]) ** 2)))
+    amps[:, :, 0] = sub.reshape(amps.shape[:2])
+    return trace, StateVector(amps, oracle.s_values, oracle.w_values, state.layout)
+
+
+def grover_amplify(state: StateVector, oracle: MarkedOracle, iterations: int) -> StateVector:
+    """Run ``iterations`` amplification rounds on a prepared state."""
+    return grover_run(state, oracle, iterations)[1]
 
 
 def grover_trace(state: StateVector, oracle: MarkedOracle, max_iterations: int) -> list[float]:
     """Marked probability after k = 0..max_iterations rounds (incremental)."""
-    _check_support(state, oracle, flag=0)
-    support, marked_mask = _support_and_mask(state, oracle)
-    amps = state.amplitudes.copy()
-    trace = []
-    for _ in range(max_iterations + 1):
-        sub = amps[support]
-        trace.append(float(np.sum(np.abs(sub[marked_mask]) ** 2)))
-        _grover_step(amps, support, marked_mask)
-    return trace
+    return grover_run(state, oracle, max_iterations)[0]
 
 
 @dataclass(frozen=True)
@@ -286,37 +281,36 @@ def quantum_count(oracle: MarkedOracle, n_total: int, phase_bits: int) -> CountE
 
     The operator rotates the support plane by 2*theta with
     sin(theta) = sqrt(M/N); a t-bit phase register therefore peaks at
-    k ~ theta/pi * 2^t, and M is recovered as N*sin^2(pi*k/2^t). The full
-    2^t-point register distribution is computed from the operator trajectory,
-    and the modal (folded) outcome is reported. When the rotation angle is
-    exactly representable in t bits the distribution collapses onto it and the
-    estimate is exact.
+    k ~ theta/pi * 2^t, and M is recovered as N*sin^2(pi*k/2^t). The operator
+    keeps all M marked amplitudes equal (a_j) and all N - M unmarked ones equal
+    (b_j), so the full 2^t-point register distribution is
+    (M*|DFT(a)|^2 + (N-M)*|DFT(b)|^2) / 2^(2t), and the modal (folded)
+    outcome is reported. When the rotation angle is exactly representable in
+    t bits the distribution collapses onto it and the estimate is exact.
     """
-    if phase_bits < 1:
-        raise DomainError("phase register needs at least one bit")
+    if not 1 <= phase_bits <= MAX_PHASE_BITS:
+        raise DomainError(f"phase register needs 1..{MAX_PHASE_BITS} bits, got {phase_bits}")
     if n_total != oracle.support:
         raise DomainError(
             f"support size {n_total} does not match the oracle's {oracle.support}"
         )
     n_points = oracle.support
-    marked_mask = np.array(
-        [oracle.bit(s, w) == 1 for s in oracle.s_values for w in oracle.w_values],
-        dtype=bool,
-    )
+    n_marked = len(oracle.marked)
     t_dim = 1 << phase_bits
-    psi = np.full(n_points, 1.0 / sqrt(n_points), dtype=np.complex128)
-    trajectory = np.empty((t_dim, n_points), dtype=np.complex128)
+    a = np.empty(t_dim)
+    b = np.empty(t_dim)
+    a_j = b_j = 1.0 / sqrt(n_points)
     for j in range(t_dim):
-        trajectory[j] = psi
-        nxt = psi.copy()
-        nxt[marked_mask] *= -1.0
-        psi = 2.0 * nxt.mean() - nxt
+        a[j], b[j] = a_j, b_j
+        mean = ((n_points - n_marked) * b_j - n_marked * a_j) / n_points
+        a_j, b_j = 2.0 * mean + a_j, 2.0 * mean - b_j
     # inverse QFT on the phase register == DFT over the trajectory axis
-    spectrum = np.fft.fft(trajectory, axis=0) / t_dim
-    probs = np.sum(np.abs(spectrum) ** 2, axis=1)
-    folded = np.zeros(t_dim // 2 + 1)
-    for k in range(t_dim):
-        folded[min(k, t_dim - k)] += probs[k]
+    probs = (
+        n_marked * np.abs(np.fft.fft(a)) ** 2 + (n_points - n_marked) * np.abs(np.fft.fft(b)) ** 2
+    ) / (t_dim * t_dim)
+    half = t_dim // 2
+    folded = probs[: half + 1].copy()  # k and 2^t - k read the same M
+    folded[1:half] += probs[:half:-1]
     k_best = int(np.argmax(folded))
     probability = float(folded[k_best])
     phase = Fraction(k_best, t_dim)
@@ -334,8 +328,8 @@ def quantum_count(oracle: MarkedOracle, n_total: int, phase_bits: int) -> CountE
 def post_select_flag(state: StateVector) -> StateVector:
     """Renormalized restriction to flag = 1."""
     amps = state.amplitudes.copy()
-    amps[0::2] = 0.0
+    amps[:, :, 0] = 0.0
     norm = np.linalg.norm(amps)
     if norm < 1e-12:
         raise DomainError("no probability on flag = 1; nothing to post-select")
-    return StateVector(amps / norm, state.layout)
+    return StateVector(amps / norm, state.s_values, state.w_values, state.layout)

@@ -1,0 +1,246 @@
+"""Dense statevector reference for the quantum stage and the Schmidt split.
+
+Every basis state of the value-encoded s|w|flag registers is allocated, and
+counting runs the full (2^t, n*m) trajectory through the amplification
+operator. This is the original implementation kept as an independent oracle:
+tests compare the support-indexed code in ``qwitness.quantum`` and
+``qwitness.classify`` against it on small inputs.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from math import sqrt
+
+import numpy as np
+
+from qwitness.classify import RANK_TOL, SchmidtSpectrum, _AMP_TOL
+from qwitness.errors import DomainError
+from qwitness.quantum import (
+    DEFAULT_QUBIT_CAP,
+    CountEstimate,
+    MarkedOracle,
+    RegisterLayout,
+    _NORM_TOL,
+    _cospi,
+)
+
+
+@dataclass
+class StateVector:
+    amplitudes: np.ndarray
+    layout: RegisterLayout
+
+    def __post_init__(self):
+        self.amplitudes = np.asarray(self.amplitudes, dtype=np.complex128)
+        if self.amplitudes.shape != (1 << self.layout.total_qubits,):
+            raise DomainError("amplitude vector does not match the register layout")
+        if abs(np.linalg.norm(self.amplitudes) - 1.0) > _NORM_TOL:
+            raise DomainError("state vector must have unit norm")
+
+    def norm(self) -> float:
+        return float(np.linalg.norm(self.amplitudes))
+
+    def amplitude(self, s: int, w: int, flag: int) -> complex:
+        return complex(self.amplitudes[self.layout.index(s, w, flag)])
+
+    def nonzero_pairs(self, tol: float = 1e-12) -> list[tuple[int, int, int, complex]]:
+        """(s, w, flag, amplitude) for every configuration carrying weight."""
+        out = []
+        for idx in np.flatnonzero(np.abs(self.amplitudes) > tol):
+            s, w, flag = self.layout.decode(int(idx))
+            out.append((s, w, flag, complex(self.amplitudes[idx])))
+        return out
+
+    def to_json_entries(self, tol: float = 1e-12) -> list[list]:
+        return [
+            [int(idx), float(self.amplitudes[idx].real), float(self.amplitudes[idx].imag)]
+            for idx in np.flatnonzero(np.abs(self.amplitudes) > tol)
+        ]
+
+
+def prepare_superposition(
+    s_values, w_values, cap: int = DEFAULT_QUBIT_CAP
+) -> StateVector:
+    """Equal amplitudes 1/sqrt(n*m) on every (s, w, 0) configuration."""
+    s_values = tuple(s_values)
+    w_values = tuple(w_values)
+    if not s_values or not w_values:
+        raise DomainError("both value registers must be non-empty")
+    if len(set(s_values)) != len(s_values):
+        raise DomainError("duplicate values in the s register")
+    if len(set(w_values)) != len(w_values):
+        raise DomainError("duplicate values in the w register")
+    layout = RegisterLayout.for_values(s_values, w_values, cap)
+    amps = np.zeros(1 << layout.total_qubits, dtype=np.complex128)
+    amp = 1.0 / sqrt(len(s_values) * len(w_values))
+    for s in s_values:
+        for w in w_values:
+            amps[layout.index(s, w, 0)] = amp
+    return StateVector(amps, layout)
+
+
+def _support_indices(oracle: MarkedOracle, layout: RegisterLayout, flag: int) -> np.ndarray:
+    return np.array(
+        [layout.index(s, w, flag) for s in oracle.s_values for w in oracle.w_values],
+        dtype=np.int64,
+    )
+
+
+def _check_support(state: StateVector, oracle: MarkedOracle, flag: int | None) -> None:
+    allowed = set()
+    flags = (0, 1) if flag is None else (flag,)
+    for f in flags:
+        allowed.update(int(i) for i in _support_indices(oracle, state.layout, f))
+    outside = [
+        int(i)
+        for i in np.flatnonzero(np.abs(state.amplitudes) > _NORM_TOL)
+        if int(i) not in allowed
+    ]
+    if outside:
+        s, w, f = state.layout.decode(outside[0])
+        raise DomainError(f"state has weight on ({s}, {w}, flag={f}) outside the oracle support")
+
+
+def apply_marking(state: StateVector, oracle: MarkedOracle) -> StateVector:
+    """Write the oracle bit into the flag: (s, w, b) -> (s, w, b xor Q(s, w)).
+
+    A pure permutation of amplitudes, hence self-inverse and norm-preserving.
+    """
+    _check_support(state, oracle, flag=None)
+    amps = state.amplitudes.copy()
+    for s, w in oracle.marked:
+        i0 = state.layout.index(s, w, 0)
+        i1 = state.layout.index(s, w, 1)
+        amps[i0], amps[i1] = amps[i1], amps[i0]
+    return StateVector(amps, state.layout)
+
+
+def _grover_step(amps: np.ndarray, support: np.ndarray, marked_mask: np.ndarray) -> None:
+    """One in-place round: phase flip on marked pairs, invert about the support mean."""
+    sub = amps[support]
+    sub[marked_mask] *= -1.0
+    sub = 2.0 * sub.mean() - sub
+    amps[support] = sub
+
+
+def _support_and_mask(state: StateVector, oracle: MarkedOracle) -> tuple[np.ndarray, np.ndarray]:
+    support = _support_indices(oracle, state.layout, flag=0)
+    marked_mask = np.array(
+        [(s, w) in oracle.marked for s in oracle.s_values for w in oracle.w_values],
+        dtype=bool,
+    )
+    return support, marked_mask
+
+
+def grover_amplify(state: StateVector, oracle: MarkedOracle, iterations: int) -> StateVector:
+    """Run ``iterations`` amplification rounds on a prepared state."""
+    if iterations < 0:
+        raise DomainError("iteration count must be >= 0")
+    _check_support(state, oracle, flag=0)
+    support, marked_mask = _support_and_mask(state, oracle)
+    amps = state.amplitudes.copy()
+    for _ in range(iterations):
+        _grover_step(amps, support, marked_mask)
+    return StateVector(amps, state.layout)
+
+
+def grover_trace(state: StateVector, oracle: MarkedOracle, max_iterations: int) -> list[float]:
+    """Marked probability after k = 0..max_iterations rounds (incremental)."""
+    _check_support(state, oracle, flag=0)
+    support, marked_mask = _support_and_mask(state, oracle)
+    amps = state.amplitudes.copy()
+    trace = []
+    for _ in range(max_iterations + 1):
+        sub = amps[support]
+        trace.append(float(np.sum(np.abs(sub[marked_mask]) ** 2)))
+        _grover_step(amps, support, marked_mask)
+    return trace
+
+
+def quantum_count(oracle: MarkedOracle, n_total: int, phase_bits: int) -> CountEstimate:
+    """Phase estimation over the amplification operator, read out exactly.
+
+    The operator rotates the support plane by 2*theta with
+    sin(theta) = sqrt(M/N); a t-bit phase register therefore peaks at
+    k ~ theta/pi * 2^t, and M is recovered as N*sin^2(pi*k/2^t). The full
+    2^t-point register distribution is computed from the operator trajectory,
+    and the modal (folded) outcome is reported. When the rotation angle is
+    exactly representable in t bits the distribution collapses onto it and the
+    estimate is exact.
+    """
+    if phase_bits < 1:
+        raise DomainError("phase register needs at least one bit")
+    if n_total != oracle.support:
+        raise DomainError(
+            f"support size {n_total} does not match the oracle's {oracle.support}"
+        )
+    n_points = oracle.support
+    marked_mask = np.array(
+        [(s, w) in oracle.marked for s in oracle.s_values for w in oracle.w_values],
+        dtype=bool,
+    )
+    t_dim = 1 << phase_bits
+    psi = np.full(n_points, 1.0 / sqrt(n_points), dtype=np.complex128)
+    trajectory = np.empty((t_dim, n_points), dtype=np.complex128)
+    for j in range(t_dim):
+        trajectory[j] = psi
+        nxt = psi.copy()
+        nxt[marked_mask] *= -1.0
+        psi = 2.0 * nxt.mean() - nxt
+    # inverse QFT on the phase register == DFT over the trajectory axis
+    spectrum = np.fft.fft(trajectory, axis=0) / t_dim
+    probs = np.sum(np.abs(spectrum) ** 2, axis=1)
+    folded = np.zeros(t_dim // 2 + 1)
+    for k in range(t_dim):
+        folded[min(k, t_dim - k)] += probs[k]
+    k_best = int(np.argmax(folded))
+    probability = float(folded[k_best])
+    phase = Fraction(k_best, t_dim)
+    estimated = n_points * (1.0 - _cospi(2.0 * k_best / t_dim)) / 2.0
+    exact = probability > 1.0 - 1e-9
+    return CountEstimate(
+        estimated_m=float(estimated),
+        phase_bits=phase_bits,
+        phase=phase,
+        probability=probability,
+        exact=exact,
+    )
+
+
+def post_select_flag(state: StateVector) -> StateVector:
+    """Renormalized restriction to flag = 1."""
+    amps = state.amplitudes.copy()
+    amps[0::2] = 0.0
+    norm = np.linalg.norm(amps)
+    if norm < 1e-12:
+        raise DomainError("no probability on flag = 1; nothing to post-select")
+    return StateVector(amps / norm, state.layout)
+
+
+def _flag_matrix(state: StateVector) -> np.ndarray:
+    """Amplitudes as an (s, w) matrix on whichever flag slice carries the state."""
+    layout = state.layout
+    grid = state.amplitudes.reshape(1 << layout.s_qubits, 1 << layout.w_qubits, 2)
+    mass = [float(np.sum(np.abs(grid[:, :, f]) ** 2)) for f in (0, 1)]
+    if mass[0] > _AMP_TOL and mass[1] > _AMP_TOL:
+        raise DomainError("flag register carries weight on both values; post-select first")
+    if mass[0] <= _AMP_TOL and mass[1] <= _AMP_TOL:
+        raise DomainError("zero state has no Schmidt decomposition")
+    return grid[:, :, 1] if mass[1] > mass[0] else grid[:, :, 0]
+
+
+def schmidt(state: StateVector) -> SchmidtSpectrum:
+    """Singular values across the s|w cut, descending; squared sum is 1."""
+    matrix = _flag_matrix(state)
+    # zero rows/columns do not move singular values; trim for cheap SVDs
+    rows = np.flatnonzero(np.abs(matrix).sum(axis=1) > 0)
+    cols = np.flatnonzero(np.abs(matrix).sum(axis=0) > 0)
+    sv = np.linalg.svd(matrix[np.ix_(rows, cols)], compute_uv=False)
+    sv = np.clip(sv, 0.0, None)
+    total = float(np.sum(sv**2))
+    if abs(total - 1.0) > 1e-10:
+        raise DomainError(f"Schmidt coefficients squared sum to {total}, not 1")
+    rank = int(np.sum(sv > RANK_TOL))
+    return SchmidtSpectrum(tuple(float(x) for x in sv), max(rank, 1))

@@ -147,6 +147,22 @@ class TestSimulate:
         assert body["marked_pairs"] == 2
         assert abs(body["counting"]["estimated_m"] - 2) < 0.5
 
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    def test_wide_registers_on_a_tiny_support(self, tmp_path, command):
+        # 61 qubits of value-encoded registers, but only a 2 x 2 support
+        code, out = run(
+            tmp_path, command, "--list", "3,1000000007", "--question", "prime",
+            "--qubit-cap", "64",
+        )
+        assert code == 0
+        body = load(out)[{"analyze": "report", "simulate": "simulate"}[command]]
+        if command == "analyze":
+            assert body["quantum"]["total_qubits"] == 61
+            assert body["findings"] == []
+        else:
+            assert body["layout"]["total_qubits"] == 61
+            assert len(body["amplified_state"]) == 4
+
     def test_cap_exceeded_exits_three(self, tmp_path, capsys):
         code = main([
             "simulate", "--range", "2", "100", "--question", "composite",
@@ -237,8 +253,13 @@ class TestConfigAndErrors:
             (["--range", "2", "10", "--question", "even"], "abc", None),
             (["--question", "even"], None, {"range": [2]}),
             (["--question", "even"], None, {"range": [2, 10], "phase_bits": "x"}),
+            (["--range", "2", "50", "--question", "composite", "--phase-bits", "30"], None, None),
+            (["--range", "2", "50", "--question", "composite", "--phase-bits", "40"], None, None),
         ],
-        ids=["list-element", "env-ceiling", "range-arity", "config-phase-bits"],
+        ids=[
+            "list-element", "env-ceiling", "range-arity", "config-phase-bits",
+            "phase-bits-30", "phase-bits-40",
+        ],
     )
     def test_malformed_numbers_exit_two(self, tmp_path, monkeypatch, capsys, argv, env, config):
         if env is not None:

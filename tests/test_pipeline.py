@@ -236,10 +236,10 @@ class TestComputeOnce:
         (qwitness.sequences, "build_bitstring"),
     )
 
-    def counted(self, monkeypatch):
+    def counted(self, monkeypatch, counted=COUNTED):
         """Count calls at every qwitness module binding of each counted function."""
         calls = {}
-        for module, name in self.COUNTED:
+        for module, name in counted:
             original = getattr(module, name)
             calls[name] = 0
 
@@ -262,3 +262,15 @@ class TestComputeOnce:
         analyze(seq, question)
         assert all(n <= 1 for n in calls.values()), calls
         assert calls["min_set_cover"] == calls["build_bitstring"] == 1
+
+    @pytest.mark.parametrize(
+        "seq, question",
+        [(sf_seq(25), MobiusPlusOne()), (Sequence.from_range(2, 100), IsComposite())],
+        ids=["sf25-mobius", "composite-2-100"],
+    )
+    def test_one_schmidt_split_per_classification(self, monkeypatch, seq, question):
+        module = sys.modules["qwitness.classify"]  # the package binds the name to the function
+        calls = self.counted(monkeypatch, ((module, "classify"), (module, "schmidt")))
+        analyze(seq, question)
+        assert calls["classify"] >= 2
+        assert calls["schmidt"] == calls["classify"], calls

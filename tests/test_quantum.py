@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_reference as dense
+from qwitness.classify import schmidt
 from qwitness.errors import DomainError, QubitCapError
 from qwitness.quantum import (
+    MAX_PHASE_BITS,
     MarkedOracle,
     RegisterLayout,
     apply_marking,
@@ -206,6 +209,11 @@ class TestCounting:
         with pytest.raises(DomainError):
             quantum_count(oracle, 5, phase_bits=3)
 
+    @pytest.mark.parametrize("t", [0, MAX_PHASE_BITS + 1, 40])
+    def test_phase_register_bounded_before_allocation(self, t):
+        with pytest.raises(DomainError):
+            quantum_count(synthetic_oracle(4, 2), 4, phase_bits=t)
+
     @pytest.mark.parametrize(
         "n,m,t", [(8, 2, 4), (16, 3, 6), (32, 5, 8), (20, 7, 5), (24, 11, 7)]
     )
@@ -270,3 +278,66 @@ class TestPostSelect:
         state = prepare_superposition([1, 2], [1])
         with pytest.raises(DomainError):
             post_select_flag(state)
+
+
+@st.composite
+def small_oracles(draw):
+    """Random oracle over up to 6 x 6 distinct values in any order."""
+    values = st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=6, unique=True)
+    s_values = tuple(draw(values))
+    w_values = tuple(draw(values))
+    pairs = [(s, w) for s in s_values for w in w_values]
+    marked = draw(st.sets(st.sampled_from(pairs)))
+    return MarkedOracle(s_values, w_values, frozenset(marked), "random")
+
+
+def assert_same_state(new, old):
+    """Support-indexed amplitudes equal the dense ones at their basis indices."""
+    index = np.array(
+        [[[new.layout.index(s, w, f) for f in (0, 1)] for w in new.w_values] for s in new.s_values]
+    )
+    assert new.amplitudes.shape == (len(new.s_values), len(new.w_values), 2)
+    assert np.allclose(new.amplitudes, old.amplitudes[index], rtol=0, atol=1e-12)
+    rest = old.amplitudes.copy()
+    rest[index.ravel()] = 0
+    assert not rest.any()
+
+
+class TestMatchesDenseReference:
+    @given(
+        small_oracles(),
+        st.integers(min_value=0, max_value=5),
+        st.integers(min_value=1, max_value=8),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_oracles(self, oracle, k, t):
+        s_values, w_values = oracle.s_values, oracle.w_values
+        new = prepare_superposition(s_values, w_values, cap=64)
+        old = dense.prepare_superposition(s_values, w_values, cap=64)
+        assert_same_state(new, old)
+        assert_same_state(apply_marking(new, oracle), dense.apply_marking(old, oracle))
+        assert_same_state(grover_amplify(new, oracle, k), dense.grover_amplify(old, oracle, k))
+        assert np.allclose(
+            grover_trace(new, oracle, k), dense.grover_trace(old, oracle, k), rtol=0, atol=1e-12
+        )
+        assert new.to_json_entries() == [
+            [i, pytest.approx(re, abs=1e-12), pytest.approx(im, abs=1e-12)]
+            for i, re, im in old.to_json_entries()
+        ]
+
+        count = quantum_count(oracle, oracle.support, t)
+        reference = dense.quantum_count(oracle, oracle.support, t)
+        assert count.phase == reference.phase
+        assert count.estimated_m == reference.estimated_m
+        assert count.exact == reference.exact
+        assert count.probability == pytest.approx(reference.probability, abs=1e-12)
+
+        if oracle.marked:
+            post = post_select_flag(apply_marking(new, oracle))
+            post_old = dense.post_select_flag(dense.apply_marking(old, oracle))
+            assert_same_state(post, post_old)
+            spectrum, spectrum_old = schmidt(post), dense.schmidt(post_old)
+            assert spectrum.rank == spectrum_old.rank
+            assert np.allclose(
+                spectrum.coefficients, spectrum_old.coefficients, rtol=0, atol=1e-12
+            )
