@@ -17,8 +17,7 @@ from math import log2
 import numpy as np
 
 from .errors import DomainError
-from .quantum import StateVector
-from .witnesses import WitnessRelation
+from .quantum import MarkedOracle, StateVector
 
 RANK_TOL = 1e-10
 _AMP_TOL = 1e-12
@@ -82,47 +81,39 @@ def entanglement_entropy(spectrum: SchmidtSpectrum) -> float:
     return max(out, 0.0)
 
 
-def _marked_pairs(state: StateVector) -> list[tuple[int, int, complex]]:
-    matrix = _flag_matrix(state)
-    out = []
-    for i, j in zip(*np.nonzero(np.abs(matrix) > _AMP_TOL)):
-        out.append((state.s_values[i], state.w_values[j], complex(matrix[i, j])))
-    return out
-
-
-def classify(state: StateVector, relation: WitnessRelation) -> RandomnessClass:
+def classify(state: StateVector, oracle: MarkedOracle) -> RandomnessClass:
     """Name the regime of a post-selected marked state.
 
-    Blocks are recovered by grouping the occupied (s, w) pairs by witness
-    value. One block is NoRandomness, all-singleton blocks are Maximal,
+    Blocks are the occupied rows of each occupied witness column of the
+    (s, w) grid. One block is NoRandomness, all-singleton blocks are Maximal,
     anything in between is Partial. A state whose support pairs some element
     with several witnesses, or whose amplitudes are not uniform, is not of
     that family and comes back NonCanonical.
     """
-    pairs = _marked_pairs(state)
-    if not pairs:
+    if (state.s_values, state.w_values) != (oracle.s_values, oracle.w_values):
+        raise DomainError("state value registers differ from the oracle support")
+    magnitudes = np.abs(_flag_matrix(state))
+    occupied = magnitudes > _AMP_TOL
+    if not occupied.any():
         raise DomainError("empty marked support")
-    allowed = set(relation.pairs())
-    for s, w, _ in pairs:
-        if (s, w) not in allowed:
-            raise DomainError(f"occupied pair ({s}, {w}) is not marked by the relation")
+    stray = np.argwhere(occupied & ~oracle.mask)
+    if len(stray):
+        s, w = state.s_values[stray[0][0]], state.w_values[stray[0][1]]
+        raise DomainError(f"occupied pair ({s}, {w}) is not marked by the relation")
     spectrum = schmidt(state)
     entropy = entanglement_entropy(spectrum)
-    by_s: dict[int, set[int]] = {}
-    by_w: dict[int, list[int]] = {}
-    for s, w, _ in pairs:
-        by_s.setdefault(s, set()).add(w)
-        by_w.setdefault(w, []).append(s)
-    if any(len(ws) > 1 for ws in by_s.values()):
+    mags = magnitudes[occupied]
+    if occupied.sum(axis=1).max() > 1 or mags.max() - mags.min() > _UNIFORM_TOL:
         return RandomnessClass(RandomnessRegime.NON_CANONICAL, entropy, None, spectrum)
-    mags = [abs(a) for *_, a in pairs]
-    if max(mags) - min(mags) > _UNIFORM_TOL:
-        return RandomnessClass(RandomnessRegime.NON_CANONICAL, entropy, None, spectrum)
+    s_values = np.array(state.s_values, dtype=object)
     blocks = tuple(
-        (w, tuple(sorted(elems))) for w, elems in sorted(by_w.items())
+        sorted(
+            (state.w_values[j], tuple(sorted(s_values[occupied[:, j]].tolist())))
+            for j in np.flatnonzero(occupied.any(axis=0))
+        )
     )
     n_blocks = len(blocks)
-    n_elements = len(by_s)
+    n_elements = int(occupied.any(axis=1).sum())
     if n_blocks == n_elements:
         regime = RandomnessRegime.MAXIMAL
     elif n_blocks == 1:

@@ -15,20 +15,18 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from math import asin, sqrt
 
 from . import __version__
 from .errors import DomainError, QubitCapError
-from .pipeline import AnalyzeOptions, analyze, cross_check, minimize_covered, relation_for
-from .quantum import (
-    MAX_PHASE_BITS,
-    MarkedOracle,
-    RegisterLayout,
-    grover_iterations_optimal,
-    grover_run,
-    prepare_superposition,
-    quantum_count,
+from .pipeline import (
+    AnalyzeOptions,
+    analyze,
+    cross_check,
+    minimize_covered,
+    quantum_stage,
+    relation_for,
 )
+from .quantum import MAX_PHASE_BITS
 from .sequences import (
     IdentityIn,
     IsComposite,
@@ -296,19 +294,9 @@ def cmd_simulate(config: RunConfig) -> int:
     relation, _faithful = relation_for(config.sequence, config.question, satisfying)
     if not relation.candidates:
         raise DomainError("nothing to amplify: the relation has no candidate witnesses")
-    layout = RegisterLayout.for_values(
-        config.sequence.elements, relation.candidates, config.qubit_cap
-    )
-    oracle = MarkedOracle.from_relation(config.sequence.elements, relation)
-    marked = len(oracle.marked)
-    if marked == 0:
-        raise DomainError("nothing to amplify: no marked configurations")
-    iterations = grover_iterations_optimal(oracle.support, marked)
-    prepared = prepare_superposition(
-        config.sequence.elements, relation.candidates, config.qubit_cap
-    )
-    trace, amplified = grover_run(prepared, oracle, iterations)
-    counting = quantum_count(oracle, oracle.support, config.phase_bits)
+    stage = quantum_stage(config.sequence.elements, relation, config.qubit_cap)
+    grover = stage.amplified()  # raises when nothing is marked
+    layout, oracle = stage.prepared.layout, stage.oracle
     body = {
         "layout": {
             "s_qubits": layout.s_qubits,
@@ -317,19 +305,13 @@ def cmd_simulate(config: RunConfig) -> int:
             "total_qubits": layout.total_qubits,
         },
         "support": oracle.support,
-        "marked_pairs": marked,
-        "optimal_iterations": iterations,
-        "grover_trace": trace,
-        "grover_angle": asin(sqrt(marked / oracle.support)),
-        "counting": {
-            "estimated_m": counting.estimated_m,
-            "phase_bits": counting.phase_bits,
-            "phase": {"num": counting.phase.numerator, "den": counting.phase.denominator},
-            "probability": counting.probability,
-            "exact": counting.exact,
-        },
+        "marked_pairs": len(oracle.marked),
+        "optimal_iterations": grover.iterations,
+        "grover_trace": grover.trace,
+        "grover_angle": grover.angle,
+        "counting": stage.count(config.phase_bits).to_json_dict(),
         # nonzero amplitudes of the amplified state as (basis index, re, im)
-        "amplified_state": amplified.to_json_entries(),
+        "amplified_state": grover.state.to_json_entries(),
     }
     _write(config.out, emit_json("simulate", body, "simulate", config))
     return 0

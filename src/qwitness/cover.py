@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import ceil
 
 from .errors import DomainError
-from .witnesses import WitnessRelation, coverage_check
+from .witnesses import WitnessRelation
 
 DEFAULT_EXACT_THRESHOLD = 24
 
@@ -81,11 +81,9 @@ def _masks(rel: WitnessRelation) -> tuple[int, list[int]]:
 
 
 def _require_covered(rel: WitnessRelation) -> None:
-    uncovered = coverage_check(rel).uncovered
-    if uncovered:
-        raise DomainError(
-            f"target {uncovered[0]} has no witness; remove uncovered targets first"
-        )
+    for t, row in zip(rel.targets, rel.incidence):
+        if not row:
+            raise DomainError(f"target {t} has no witness; remove uncovered targets first")
 
 
 def _greedy_cover(full: int, masks: list[int], values) -> list[int]:
@@ -221,25 +219,22 @@ def exact_cover(rel: WitnessRelation) -> CoverSolution:
     full, masks = _masks(rel)
     values = rel.candidates
     best: list[int] | None = None
-
-    def dfs(covered: int, chosen: list[int]) -> None:
-        nonlocal best
+    # depth-first with an explicit stack (the depth reaches the cover size);
+    # children are pushed in reverse so they are visited in candidate order
+    stack: list[tuple[int, tuple[int, ...]]] = [(0, ())]
+    while stack:
+        covered, chosen = stack.pop()
         if covered == full:
             pick = sorted(values[j] for j in chosen)
             if best is None or (len(pick), pick) < (len(best), best):
                 best = pick
-            return
+            continue
         if best is not None and len(chosen) + 1 > len(best):
-            return
+            continue
         remaining = full & ~covered
         bit = (remaining & -remaining).bit_length() - 1
         usable = [j for j, m in enumerate(masks) if (m >> bit & 1) and not (m & covered)]
-        for j in usable:
-            chosen.append(j)
-            dfs(covered | masks[j], chosen)
-            chosen.pop()
-
-    dfs(0, [])
+        stack.extend((covered | masks[j], chosen + (j,)) for j in reversed(usable))
     if best is None:
         return CoverSolution(
             (), 0, CoverKind.NO_COVER, "every covering subset covers some target twice"

@@ -29,11 +29,11 @@ from .quantum import (
     DEFAULT_QUBIT_CAP,
     CountEstimate,
     MarkedOracle,
-    RegisterLayout,
+    StateVector,
     apply_marking,
     counting_error_bound,
     grover_iterations_optimal,
-    grover_trace,
+    grover_run,
     post_select_flag,
     prepare_superposition,
     quantum_count,
@@ -225,18 +225,7 @@ class RandomnessReport:
                 "support": self.quantum.support,
                 "marked_pairs": self.quantum.marked_pairs,
                 "classical_shortcut_count": self.quantum.shortcut_count,
-                "counting": None
-                if counting is None
-                else {
-                    "estimated_m": counting.estimated_m,
-                    "phase_bits": counting.phase_bits,
-                    "phase": {
-                        "num": counting.phase.numerator,
-                        "den": counting.phase.denominator,
-                    },
-                    "probability": counting.probability,
-                    "exact": counting.exact,
-                },
+                "counting": None if counting is None else counting.to_json_dict(),
                 "grover": {
                     "iterations": self.quantum.grover_iterations,
                     "success_probability": self.quantum.grover_success,
@@ -276,23 +265,61 @@ def relation_for(
     raise DomainError(f"no witness relation defined for {question!r}")
 
 
-def _post_selected(s_values, relation: WitnessRelation, cap: int):
-    """Post-selected marked state of a relation, or (None, reason)."""
-    if not relation.candidates:
-        return None, "no candidate witnesses"
-    if not relation.pairs():
-        return None, "nothing is marked"
-    try:
-        RegisterLayout.for_values(s_values, relation.candidates, cap)
-    except QubitCapError as exc:
-        return None, str(exc)
-    oracle = MarkedOracle.from_relation(s_values, relation)
-    state = post_select_flag(apply_marking(prepare_superposition(s_values, relation.candidates, cap), oracle))
-    return state, None
+@dataclass(frozen=True)
+class MarkedStates:
+    """What classification reads: the oracle of one relation and its
+    post-selected state."""
+
+    oracle: MarkedOracle
+    post: StateVector
 
 
-def _classified(state, relation: WitnessRelation, basis: str) -> ClassifiedState:
-    cls = classify(state, relation)
+@dataclass(frozen=True)
+class Amplification:
+    iterations: int
+    trace: list[float]  # marked probability after 0..iterations rounds
+    state: StateVector
+    angle: float  # theta = arcsin(sqrt(M/N))
+
+
+@dataclass
+class QuantumStage:
+    """Steps 4-5 over one relation: the prepared state and the oracle, built
+    once. Each later step runs only when a view asks for it; marking comes
+    last and releases the prepared state before post-selection."""
+
+    prepared: StateVector | None
+    oracle: MarkedOracle
+
+    def count(self, phase_bits: int) -> CountEstimate:
+        return quantum_count(self.oracle, self.oracle.support, phase_bits)
+
+    def amplified(self) -> Amplification:
+        """The optimal number of Grover rounds on the prepared state."""
+        m_marked, support = len(self.oracle.marked), self.oracle.support
+        iterations = grover_iterations_optimal(support, m_marked)
+        trace, state = grover_run(self.prepared, self.oracle, iterations)
+        return Amplification(iterations, trace, state, asin(sqrt(m_marked / support)))
+
+    def marked_states(self) -> MarkedStates:
+        """Mark the prepared state and keep flag = 1 (the last step)."""
+        marked = apply_marking(self.prepared, self.oracle)
+        self.prepared = None
+        return MarkedStates(self.oracle, post_select_flag(marked))
+
+
+def quantum_stage(s_values, relation: WitnessRelation, qubit_cap: int) -> QuantumStage:
+    """The one builder of the register layout, the prepared state and the
+    oracle. The relation needs candidate witnesses; registers past the cap
+    raise QubitCapError."""
+    return QuantumStage(
+        prepare_superposition(s_values, relation.candidates, qubit_cap),
+        MarkedOracle.from_relation(s_values, relation),
+    )
+
+
+def _classified(states: MarkedStates, basis: str) -> ClassifiedState:
+    cls = classify(states.post, states.oracle)
     return ClassifiedState(
         basis=basis,
         regime=cls.regime.value,
@@ -314,55 +341,39 @@ _TRIVIAL_EMPTY = ClassifiedState(
 
 
 def _run_quantum(seq: Sequence, relation: WitnessRelation, options: AnalyzeOptions):
-    """Counting + amplification cross-checks; returns (block, post-selected state)."""
+    """Counting + amplification cross-checks; returns (block, marked states)."""
     if not options.run_quantum:
         return QuantumBlock(skipped=True, reason="disabled by options"), None
     if not relation.candidates:
         return QuantumBlock(skipped=True, reason="no candidate witnesses"), None
     try:
-        layout = RegisterLayout.for_values(seq.elements, relation.candidates, options.qubit_cap)
+        stage = quantum_stage(seq.elements, relation, options.qubit_cap)
     except QubitCapError as exc:
         return QuantumBlock(skipped=True, reason=str(exc)), None
-    oracle = MarkedOracle.from_relation(seq.elements, relation)
-    n_support = oracle.support
+    layout, oracle = stage.prepared.layout, stage.oracle
     m_marked = len(oracle.marked)
-    counting = quantum_count(oracle, n_support, options.phase_bits)
-    if m_marked == 0:
-        return (
-            QuantumBlock(
-                skipped=False,
-                s_qubits=layout.s_qubits,
-                w_qubits=layout.w_qubits,
-                total_qubits=layout.total_qubits,
-                support=n_support,
-                marked_pairs=0,
-                shortcut_count=0,
-                counting=counting,
-            ),
-            None,
-        )
-    iterations = grover_iterations_optimal(n_support, m_marked)
-    prepared = prepare_superposition(seq.elements, relation.candidates, options.qubit_cap)
-    trace = grover_trace(prepared, oracle, iterations)
-    theta = asin(sqrt(m_marked / n_support))
-    closed_form = sin((2 * iterations + 1) * theta) ** 2
-    post = post_select_flag(apply_marking(prepared, oracle))
-    post_pairs = {(s, w) for s, w, _f, _a in post.nonzero_pairs()}
     block = QuantumBlock(
         skipped=False,
         s_qubits=layout.s_qubits,
         w_qubits=layout.w_qubits,
         total_qubits=layout.total_qubits,
-        support=n_support,
+        support=oracle.support,
         marked_pairs=m_marked,
         shortcut_count=m_marked,
-        counting=counting,
-        grover_iterations=iterations,
-        grover_success=trace[-1],
-        grover_closed_form=closed_form,
-        post_support_matches_pairs=post_pairs == set(relation.pairs()),
+        counting=stage.count(options.phase_bits),
     )
-    return block, post
+    if not m_marked:
+        return block, None
+    grover = stage.amplified()
+    states = stage.marked_states()
+    block = replace(
+        block,
+        grover_iterations=grover.iterations,
+        grover_success=grover.trace[-1],
+        grover_closed_form=sin((2 * grover.iterations + 1) * grover.angle) ** 2,
+        post_support_matches_pairs=bool((states.post.support_mask() == oracle.mask).all()),
+    )
+    return block, states
 
 
 def _assigned_relation(
@@ -443,58 +454,55 @@ def analyze(
     ratio = Fraction(verdict.m, verdict.q) if verdict.q else None
 
     with _stage("quantum"):
-        quantum_block, raw_state = _run_quantum(seq, relation, options)
+        quantum_block, raw_states = _run_quantum(seq, relation, options)
 
     raw_class = None
     assigned_class = None
     cover_class = None
     primary = None
     with _stage("classification"):
-        if raw_state is not None:
-            raw_class = _classified(raw_state, relation, basis="oracle")
-        if (
-            options.run_quantum
-            and raw_class is not None
-            and raw_class.regime == RandomnessRegime.NON_CANONICAL.value
-        ):
+
+        def reading(sub: WitnessRelation | None, basis: str) -> ClassifiedState | None:
+            """Classification of a one-witness-per-target relation, or a note."""
+            if sub is None:
+                return None
+            if not sub.candidates:
+                reason = "no candidate witnesses"
+            elif not any(sub.incidence):
+                reason = "nothing is marked"
+            else:
+                try:
+                    states = quantum_stage(seq.elements, sub, options.qubit_cap).marked_states()
+                    return _classified(states, basis)
+                except QubitCapError as exc:
+                    reason = str(exc)
+            notes.append(f"{basis} classification skipped: {reason}")
+            return None
+
+        if raw_states is not None:
+            raw_class = _classified(raw_states, basis="oracle")
+        if raw_class is not None and raw_class.regime == RandomnessRegime.NON_CANONICAL.value:
             # two one-witness-per-element readings of a multi-witness support:
             # the injective assignment when it saturates, and the cover-based
             # choice, whose block structure always agrees with the verdict
-            def classify_sub(sub, label):
-                if sub is None:
-                    return None
-                state, reason = _post_selected(seq.elements, sub, options.qubit_cap)
-                if state is None:
-                    notes.append(f"{label} classification skipped: {reason}")
-                    return None
-                return _classified(state, sub, basis="assigned")
-
-            cover_class = classify_sub(
-                _assigned_relation(restricted, None, mini.min_cover), "assigned"
-            )
+            cover_class = reading(_assigned_relation(restricted, None, mini.min_cover), "assigned")
             if mini.assignment is not None:
-                assigned_class = classify_sub(
+                assigned_class = reading(
                     _assigned_relation(restricted, mini.assignment, mini.min_cover),
                     "assigned",
                 )
             else:
                 assigned_class = cover_class
-        if not relation.pairs() and satisfying.q == 0:
+        if not any(relation.incidence) and satisfying.q == 0:
             primary = _TRIVIAL_EMPTY
         elif options.run_quantum:
             if mini.paradox:
-                state, reason = _post_selected(
-                    seq.elements, resolved_relation, options.qubit_cap
-                )
-                if state is not None:
-                    primary = _classified(state, resolved_relation, basis="resolved")
-                else:
-                    notes.append(f"resolved classification skipped: {reason}")
+                primary = reading(resolved_relation, "resolved")
             elif raw_class is not None and raw_class.regime != RandomnessRegime.NON_CANONICAL.value:
                 primary = raw_class
             else:
                 primary = cover_class
-            if primary is None and raw_state is None and not quantum_block.skipped:
+            if primary is None and raw_class is None and not quantum_block.skipped:
                 notes.append("classification skipped: no marked support")
         else:
             notes.append("classification skipped: quantum stage disabled")

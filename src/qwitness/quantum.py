@@ -37,6 +37,14 @@ DEFAULT_PHASE_BITS = 6
 MAX_PHASE_BITS = 20
 
 _NORM_TOL = 1e-12
+_AMPLITUDE_TOL = 1e-12  # below this an amplitude counts as zero
+
+
+def _norm(amplitudes: np.ndarray) -> float:
+    """Euclidean norm by pairwise summation (a BLAS dot, as in np.linalg.norm,
+    drifts past _NORM_TOL above about 6e5 amplitudes)."""
+    parts = np.ascontiguousarray(amplitudes).view(np.float64)
+    return sqrt(float(np.sum(parts * parts)))
 
 
 def _qubits_for(vmax: int) -> int:
@@ -87,18 +95,22 @@ class StateVector:
         self.amplitudes = np.asarray(self.amplitudes, dtype=np.complex128)
         if self.amplitudes.shape != (len(self.s_values), len(self.w_values), 2):
             raise DomainError("amplitude array does not match the value registers")
-        if abs(np.linalg.norm(self.amplitudes) - 1.0) > _NORM_TOL:
+        if abs(_norm(self.amplitudes) - 1.0) > _NORM_TOL:
             raise DomainError("state vector must have unit norm")
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return _norm(self.amplitudes)
 
     def amplitude(self, s: int, w: int, flag: int) -> complex:
         if s not in self.s_values or w not in self.w_values:
             return 0j
         return complex(self.amplitudes[self.s_values.index(s), self.w_values.index(w), flag])
 
-    def nonzero_pairs(self, tol: float = 1e-12) -> list[tuple[int, int, int, complex]]:
+    def support_mask(self) -> np.ndarray:
+        """(n, m) grid of the (s, w) pairs carrying weight on either flag value."""
+        return (np.abs(self.amplitudes) > _AMPLITUDE_TOL).any(axis=2)
+
+    def nonzero_pairs(self, tol: float = _AMPLITUDE_TOL) -> list[tuple[int, int, int, complex]]:
         """(s, w, flag, amplitude) for every configuration carrying weight, in basis order."""
         out = [
             (self.s_values[i], self.w_values[j], int(f), complex(self.amplitudes[i, j, f]))
@@ -106,7 +118,7 @@ class StateVector:
         ]
         return sorted(out, key=lambda entry: self.layout.index(*entry[:3]))
 
-    def to_json_entries(self, tol: float = 1e-12) -> list[list]:
+    def to_json_entries(self, tol: float = _AMPLITUDE_TOL) -> list[list]:
         return [
             [self.layout.index(s, w, f), a.real, a.imag]
             for s, w, f, a in self.nonzero_pairs(tol)
@@ -260,6 +272,15 @@ class CountEstimate:
         if not 0 <= self.phase <= Fraction(1, 2):
             raise DomainError("folded phase must lie in [0, 1/2]")
 
+    def to_json_dict(self) -> dict:
+        return {
+            "estimated_m": self.estimated_m,
+            "phase_bits": self.phase_bits,
+            "phase": {"num": self.phase.numerator, "den": self.phase.denominator},
+            "probability": self.probability,
+            "exact": self.exact,
+        }
+
 
 def _cospi(x: float) -> float:
     """cos(pi*x), exact on half-integers so quarter-turn phases stay rational."""
@@ -329,7 +350,8 @@ def post_select_flag(state: StateVector) -> StateVector:
     """Renormalized restriction to flag = 1."""
     amps = state.amplitudes.copy()
     amps[:, :, 0] = 0.0
-    norm = np.linalg.norm(amps)
+    norm = _norm(amps)
     if norm < 1e-12:
         raise DomainError("no probability on flag = 1; nothing to post-select")
-    return StateVector(amps / norm, state.s_values, state.w_values, state.layout)
+    amps /= norm
+    return StateVector(amps, state.s_values, state.w_values, state.layout)

@@ -5,6 +5,10 @@ counting runs the full (2^t, n*m) trajectory through the amplification
 operator. This is the original implementation kept as an independent oracle:
 tests compare the support-indexed code in ``qwitness.quantum`` and
 ``qwitness.classify`` against it on small inputs.
+
+``classify_per_pair`` is the original classifier, which walks the occupied
+(s, w) pairs of a support-indexed state one by one; tests compare the grid
+classifier in ``qwitness.classify`` against it.
 """
 
 from __future__ import annotations
@@ -15,7 +19,17 @@ from math import sqrt
 
 import numpy as np
 
-from qwitness.classify import RANK_TOL, SchmidtSpectrum, _AMP_TOL
+from qwitness.classify import (
+    RANK_TOL,
+    RandomnessClass,
+    RandomnessRegime,
+    SchmidtSpectrum,
+    _AMP_TOL,
+    _UNIFORM_TOL,
+    entanglement_entropy,
+)
+from qwitness.classify import _flag_matrix as grid_flag_matrix
+from qwitness.classify import schmidt as grid_schmidt
 from qwitness.errors import DomainError
 from qwitness.quantum import (
     DEFAULT_QUBIT_CAP,
@@ -25,6 +39,8 @@ from qwitness.quantum import (
     _NORM_TOL,
     _cospi,
 )
+from qwitness.quantum import StateVector as IndexedStateVector
+from qwitness.witnesses import WitnessRelation
 
 
 @dataclass
@@ -244,3 +260,53 @@ def schmidt(state: StateVector) -> SchmidtSpectrum:
         raise DomainError(f"Schmidt coefficients squared sum to {total}, not 1")
     rank = int(np.sum(sv > RANK_TOL))
     return SchmidtSpectrum(tuple(float(x) for x in sv), max(rank, 1))
+
+
+def _marked_pairs(state: IndexedStateVector) -> list[tuple[int, int, complex]]:
+    matrix = grid_flag_matrix(state)
+    out = []
+    for i, j in zip(*np.nonzero(np.abs(matrix) > _AMP_TOL)):
+        out.append((state.s_values[i], state.w_values[j], complex(matrix[i, j])))
+    return out
+
+
+def classify_per_pair(state: IndexedStateVector, relation: WitnessRelation) -> RandomnessClass:
+    """Name the regime of a post-selected marked state.
+
+    Blocks are recovered by grouping the occupied (s, w) pairs by witness
+    value. One block is NoRandomness, all-singleton blocks are Maximal,
+    anything in between is Partial. A state whose support pairs some element
+    with several witnesses, or whose amplitudes are not uniform, is not of
+    that family and comes back NonCanonical.
+    """
+    pairs = _marked_pairs(state)
+    if not pairs:
+        raise DomainError("empty marked support")
+    allowed = set(relation.pairs())
+    for s, w, _ in pairs:
+        if (s, w) not in allowed:
+            raise DomainError(f"occupied pair ({s}, {w}) is not marked by the relation")
+    spectrum = grid_schmidt(state)
+    entropy = entanglement_entropy(spectrum)
+    by_s: dict[int, set[int]] = {}
+    by_w: dict[int, list[int]] = {}
+    for s, w, _ in pairs:
+        by_s.setdefault(s, set()).add(w)
+        by_w.setdefault(w, []).append(s)
+    if any(len(ws) > 1 for ws in by_s.values()):
+        return RandomnessClass(RandomnessRegime.NON_CANONICAL, entropy, None, spectrum)
+    mags = [abs(a) for *_, a in pairs]
+    if max(mags) - min(mags) > _UNIFORM_TOL:
+        return RandomnessClass(RandomnessRegime.NON_CANONICAL, entropy, None, spectrum)
+    blocks = tuple(
+        (w, tuple(sorted(elems))) for w, elems in sorted(by_w.items())
+    )
+    n_blocks = len(blocks)
+    n_elements = len(by_s)
+    if n_blocks == n_elements:
+        regime = RandomnessRegime.MAXIMAL
+    elif n_blocks == 1:
+        regime = RandomnessRegime.NO_RANDOMNESS
+    else:
+        regime = RandomnessRegime.PARTIAL
+    return RandomnessClass(regime, entropy, blocks, spectrum)

@@ -195,7 +195,7 @@ def test_criterion_6_classifier_ranks():
     def marked_state(rel, s_values):
         oracle = MarkedOracle.from_relation(s_values, rel)
         state = prepare_superposition(s_values, rel.candidates)
-        return post_select_flag(apply_marking(state, oracle))
+        return post_select_flag(apply_marking(state, oracle)), oracle
 
     start = time.perf_counter()
     # single shared witness: rank 1, entropy 0 (one element degenerates to the
@@ -203,8 +203,8 @@ def test_criterion_6_classifier_ranks():
     for l in range(2, 17):
         elems = tuple(range(2, 2 + l))
         rel = fixture_relation(elems, (1,), {s: (1,) for s in elems})
-        state = marked_state(rel, elems)
-        cls = classify(state, rel)
+        state, oracle = marked_state(rel, elems)
+        cls = classify(state, oracle)
         assert cls.regime is RandomnessRegime.NO_RANDOMNESS
         assert schmidt(state).rank == 1
         assert cls.entropy_bits <= 1e-9
@@ -213,8 +213,8 @@ def test_criterion_6_classifier_ranks():
     for l in range(1, 17):
         elems = tuple(range(1, l + 1))
         rel = relation_identity(SatisfyingSet(elems))
-        state = marked_state(rel, elems)
-        cls = classify(state, rel)
+        state, oracle = marked_state(rel, elems)
+        cls = classify(state, oracle)
         assert cls.regime is RandomnessRegime.MAXIMAL
         assert schmidt(state).rank == l
         assert abs(cls.entropy_bits - (log2(l) if l > 1 else 0.0)) <= 1e-9
@@ -235,8 +235,8 @@ def test_criterion_6_classifier_ranks():
                 tuple(sorted(block_map)),
                 {s: (w,) for w, v in block_map.items() for s in v},
             )
-            state = marked_state(rel, tuple(targets))
-            cls = classify(state, rel)
+            state, oracle = marked_state(rel, tuple(targets))
+            cls = classify(state, oracle)
             assert cls.regime is RandomnessRegime.PARTIAL
             assert schmidt(state).rank == blocks
             expected = -sum((b / l) * log2(b / l) for b in sizes)

@@ -1,8 +1,11 @@
 from math import log2, sqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import dense_reference as dense
 
 from qwitness.classify import (
     RandomnessRegime,
@@ -14,10 +17,18 @@ from qwitness.classify import (
 )
 from qwitness.errors import DomainError
 from qwitness.number_theory import squarefree_support
-from qwitness.quantum import MarkedOracle, apply_marking, post_select_flag, prepare_superposition
+from qwitness.quantum import (
+    MarkedOracle,
+    RegisterLayout,
+    StateVector,
+    apply_marking,
+    post_select_flag,
+    prepare_superposition,
+)
 from qwitness.sequences import SatisfyingSet, Sequence
 from qwitness.witnesses import (
     WitnessRelation,
+    relation_composite,
     relation_identity,
     relation_mobius,
     relation_recurrence,
@@ -97,16 +108,16 @@ class TestEntropy:
 class TestClassify:
     def test_single_witness_relation(self):
         rel = relation_recurrence(Sequence.from_range(1, 20), 2, 1)
-        state, _ = marked_state(rel, s_values=Sequence.from_range(1, 20).elements)
-        cls = classify(state, rel)
+        state, oracle = marked_state(rel, s_values=Sequence.from_range(1, 20).elements)
+        cls = classify(state, oracle)
         assert cls.regime is RandomnessRegime.NO_RANDOMNESS
         assert cls.entropy_bits < 1e-9
         assert cls.blocks is not None and len(cls.blocks) == 1
 
     def test_identity_relation(self):
         rel = relation_identity(SatisfyingSet((1, 6, 10, 14)))
-        state, _ = marked_state(rel)
-        cls = classify(state, rel)
+        state, oracle = marked_state(rel)
+        cls = classify(state, oracle)
         assert cls.regime is RandomnessRegime.MAXIMAL
         assert cls.entropy_bits == pytest.approx(2.0, abs=1e-9)
 
@@ -116,14 +127,14 @@ class TestClassify:
         covered = rel.restrict_targets(
             t for t, row in zip(rel.targets, rel.incidence) if row
         )
-        state, _ = marked_state(covered, s_values=seq.elements)
-        cls = classify(state, covered)
+        state, oracle = marked_state(covered, s_values=seq.elements)
+        cls = classify(state, oracle)
         assert cls.regime is RandomnessRegime.NON_CANONICAL
 
     def test_blocks_recovered(self):
         rel = block_relation({2: [4, 6, 8], 3: [9, 15]})
-        state, _ = marked_state(rel)
-        cls = classify(state, rel)
+        state, oracle = marked_state(rel)
+        cls = classify(state, oracle)
         assert cls.regime is RandomnessRegime.PARTIAL
         assert cls.blocks == ((2, (4, 6, 8)), (3, (9, 15)))
         assert cls.entropy_bits == pytest.approx(
@@ -133,8 +144,8 @@ class TestClassify:
     @pytest.mark.parametrize("l", range(1, 17))
     def test_identity_all_sizes_maximal(self, l):
         rel = relation_identity(SatisfyingSet(tuple(range(1, l + 1))))
-        state, _ = marked_state(rel)
-        cls = classify(state, rel)
+        state, oracle = marked_state(rel)
+        cls = classify(state, oracle)
         assert cls.regime is RandomnessRegime.MAXIMAL
         assert cls.entropy_bits == pytest.approx(log2(l) if l > 1 else 0.0, abs=1e-9)
         assert schmidt(state).rank == l
@@ -142,8 +153,8 @@ class TestClassify:
     @pytest.mark.parametrize("l", range(2, 17))
     def test_single_witness_all_sizes(self, l):
         rel = block_relation({3: list(range(4, 4 + l))})
-        state, _ = marked_state(rel)
-        cls = classify(state, rel)
+        state, oracle = marked_state(rel)
+        cls = classify(state, oracle)
         assert cls.regime is RandomnessRegime.NO_RANDOMNESS
         assert cls.entropy_bits < 1e-9
 
@@ -153,8 +164,8 @@ class TestClassify:
         out = []
         for block_map in (base, relabeled):
             rel = block_relation(block_map)
-            state, _ = marked_state(rel)
-            cls = classify(state, rel)
+            state, oracle = marked_state(rel)
+            cls = classify(state, oracle)
             out.append((cls.regime, schmidt(state).rank, round(cls.entropy_bits, 12)))
         assert out[0] == out[1]
 
@@ -175,11 +186,11 @@ class TestClassify:
             blocks[w] = list(range(nxt, nxt + size))
             nxt += size
         rel = block_relation(blocks)
-        state, _ = marked_state(rel)
+        state, oracle = marked_state(rel)
         spec = schmidt(state)
         assert spec.rank == len(blocks)
         n_s = sum(len(v) for v in blocks.values())
-        cls = classify(state, rel)
+        cls = classify(state, oracle)
         assert cls.entropy_bits <= log2(min(n_s, len(blocks))) + 1e-9
 
 
@@ -210,3 +221,87 @@ class TestConditionalInformation:
         state, _ = marked_state(rel)
         with pytest.raises(DomainError):
             conditional_information(state, 0)
+
+
+@st.composite
+def states_and_relations(draw):
+    """A relation over random value registers, and a state on those registers.
+
+    The state is either the relation's own post-selected marked state, or hand
+    built: the marked pairs or any others, on either flag or both, with
+    uniform magnitudes under random phases or with magnitudes 1..3.
+    """
+    values = st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=6, unique=True)
+    s_values, w_values = tuple(draw(values)), tuple(draw(values))
+    cells = [(i, j) for i in range(len(s_values)) for j in range(len(w_values))]
+    if draw(st.booleans()):  # one witness per element, the canonical family
+        columns = st.sampled_from(range(len(w_values)))
+        marked = {(i, draw(columns)) for i in draw(st.sets(st.sampled_from(range(len(s_values)))))}
+    else:
+        marked = draw(st.sets(st.sampled_from(cells)))
+    rows = sorted({i for i, _ in marked} | draw(st.sets(st.sampled_from(range(len(s_values))))))
+    relation = WitnessRelation(
+        targets=tuple(s_values[i] for i in rows),
+        candidates=w_values,
+        incidence=tuple(tuple(sorted(j for k, j in marked if k == i)) for i in rows),
+        oracle_descriptor="random",
+    )
+    oracle = MarkedOracle.from_relation(s_values, relation)
+    kind = draw(st.sampled_from(["post-selected", "uniform", "free"]))
+    if kind == "post-selected" and marked:
+        state = post_select_flag(apply_marking(prepare_superposition(s_values, w_values), oracle))
+        return state, relation, oracle
+    if marked and draw(st.booleans()):
+        occupied = marked
+    else:
+        occupied = draw(st.sets(st.sampled_from(cells), min_size=1))
+    flags = draw(st.sampled_from([(1,), (1,), (0,), (0, 1)]))
+    amps = np.zeros((len(s_values), len(w_values), 2), dtype=np.complex128)
+    for i, j in sorted(occupied):
+        for f in flags:
+            if kind == "free":
+                amps[i, j, f] = draw(st.integers(min_value=1, max_value=3))
+            else:
+                amps[i, j, f] = draw(st.sampled_from([1, -1, 1j, -1j]))
+    amps /= sqrt(float(np.sum(np.abs(amps) ** 2)))
+    layout = RegisterLayout.for_values(s_values, w_values, cap=64)
+    return StateVector(amps, s_values, w_values, layout), relation, oracle
+
+
+def outcome(fn, state, marking):
+    """Everything a classifier reports, or the message of the error it raises."""
+    try:
+        cls = fn(state, marking)
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+    return cls.regime, cls.blocks, cls.entropy_bits, cls.spectrum
+
+
+class TestMatchesPerPairReference:
+    @given(states_and_relations())
+    @settings(max_examples=300, deadline=None)
+    def test_random_states(self, case):
+        state, relation, oracle = case
+        assert outcome(classify, state, oracle) == outcome(
+            dense.classify_per_pair, state, relation
+        )
+
+    @pytest.mark.parametrize(
+        "seq, relation_of",
+        [
+            (Sequence.from_values(squarefree_support(25), "sf"), relation_mobius),
+            (Sequence.from_range(2, 60), relation_composite),
+            (Sequence.from_range(1, 30), lambda seq: relation_recurrence(seq, 3, 1)),
+        ],
+        ids=["mobius-sf25", "composite-2-60", "recurrence-1-30"],
+    )
+    def test_relation_supports(self, seq, relation_of):
+        rel = relation_of(seq)
+        state, oracle = marked_state(rel, s_values=seq.elements)
+        assert outcome(classify, state, oracle) == outcome(dense.classify_per_pair, state, rel)
+
+    def test_registers_must_match_the_oracle(self):
+        state, oracle = marked_state(block_relation({2: [4], 3: [6]}))
+        reordered = MarkedOracle(state.s_values[::-1], state.w_values, oracle.marked, "reordered")
+        with pytest.raises(DomainError, match="state value registers differ"):
+            classify(state, reordered)

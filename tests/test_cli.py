@@ -163,12 +163,71 @@ class TestSimulate:
             assert body["layout"]["total_qubits"] == 61
             assert len(body["amplified_state"]) == 4
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--range", "2", "100", "--question", "composite"],
+            ["--range", "1", "20", "--question", "recurrence", "--p", "2", "--q", "1"],
+            ["--squarefree", "25", "--question", "mobius-plus-one", "--phase-bits", "8"],
+            ["--list", "3,7,11,12", "--question", "prime"],
+        ],
+        ids=["composite-2-100", "recurrence-1-20", "mobius-sf25-t8", "list-prime"],
+    )
+    def test_simulate_prints_the_analyze_stage(self, tmp_path, argv):
+        _, a = run(tmp_path, "analyze", *argv, name="analyze.json")
+        _, s = run(tmp_path, "simulate", *argv, name="simulate.json")
+        quantum, sim = load(a)["report"]["quantum"], load(s)["simulate"]
+        assert sim["layout"]["total_qubits"] == quantum["total_qubits"]
+        assert sim["support"] == quantum["support"]
+        assert sim["marked_pairs"] == quantum["marked_pairs"]
+        assert sim["optimal_iterations"] == quantum["grover"]["iterations"]
+        assert sim["grover_trace"][-1] == quantum["grover"]["success_probability"]
+        assert sim["counting"] == quantum["counting"]
+
+    def test_no_candidates_is_nothing_to_amplify(self, tmp_path, capsys):
+        code = main([
+            "simulate", "--list", "4,6,8", "--question", "prime",
+            "--out", str(tmp_path / "x.json"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "qwitness: nothing to amplify: the relation has no candidate witnesses\n"
+
     def test_cap_exceeded_exits_three(self, tmp_path, capsys):
         code = main([
             "simulate", "--range", "2", "100", "--question", "composite",
             "--qubit-cap", "6", "--out", str(tmp_path / "x.json"),
         ])
         assert code == 3
+
+
+class TestLargeInputs:
+    def test_unit_norm_holds_on_a_large_support(self, tmp_path):
+        # 1999 x 303 pairs on 23 qubits: a BLAS norm drifted past the tolerance here
+        code, out = run(tmp_path, "analyze", "--range", "2", "2000", "--question", "prime")
+        assert code == 0
+        body = load(out)["report"]
+        assert body["quantum"]["total_qubits"] == 23
+        assert body["findings"] == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--range", "2", "8000", "--question", "prime", "--no-quantum"],
+            ["witness", "--range", "2", "8000", "--question", "prime"],
+            ["analyze", "--range", "1", "1500", "--question", "identity", "--no-quantum"],
+        ],
+        ids=["analyze-prime-8000", "witness-prime-8000", "analyze-identity-1500"],
+    )
+    def test_exact_cover_deeper_than_the_recursion_limit(self, tmp_path, argv):
+        # about 1000 and 1500 self-paired targets: one search level per witness
+        code, out = run(tmp_path, *argv)
+        assert code == 0
+        body = load(out)
+        if "report" in body:
+            assert body["report"]["covers"]["exact_cover"]["kind"] == "ExactCover"
+        else:
+            assert body["witness"]["covers"]["exact_cover"]["kind"] == "ExactCover"
 
 
 class TestConfigAndErrors:

@@ -10,9 +10,12 @@ from hypothesis import strategies as st
 
 import qwitness.cover
 import qwitness.sequences
+import qwitness.witnesses
+from qwitness.cli import main
 from qwitness.cover import Regime
 from qwitness.number_theory import prime_pi, squarefree_support
 from qwitness.pipeline import AnalyzeOptions, analyze, cross_check
+from qwitness.quantum import StateVector
 from qwitness.sequences import (
     IdentityIn,
     IsComposite,
@@ -234,6 +237,7 @@ class TestComputeOnce:
         (qwitness.cover, "unique_witness_assignment"),
         (qwitness.cover, "_simulate_discard"),
         (qwitness.sequences, "build_bitstring"),
+        (qwitness.witnesses, "coverage_check"),
     )
 
     def counted(self, monkeypatch, counted=COUNTED):
@@ -262,6 +266,7 @@ class TestComputeOnce:
         analyze(seq, question)
         assert all(n <= 1 for n in calls.values()), calls
         assert calls["min_set_cover"] == calls["build_bitstring"] == 1
+        assert calls["coverage_check"] == 1
 
     @pytest.mark.parametrize(
         "seq, question",
@@ -274,3 +279,27 @@ class TestComputeOnce:
         analyze(seq, question)
         assert calls["classify"] >= 2
         assert calls["schmidt"] == calls["classify"], calls
+
+    @pytest.mark.parametrize(
+        "seq, question",
+        [(sf_seq(25), MobiusPlusOne()), (Sequence.from_range(2, 100), IsComposite())],
+        ids=["sf25-mobius", "composite-2-100"],
+    )
+    def test_states_are_read_as_grids(self, monkeypatch, seq, question):
+        def per_pair(*_args, **_kwargs):
+            raise AssertionError("analyze walked a state pair by pair")
+
+        monkeypatch.setattr(StateVector, "nonzero_pairs", per_pair)
+        assert cross_check(analyze(seq, question)) == []
+
+    def test_simulate_runs_only_the_steps_it_prints(self, monkeypatch, tmp_path):
+        module = sys.modules["qwitness.quantum"]
+        names = ("prepare_superposition", "apply_marking", "post_select_flag",
+                 "grover_run", "quantum_count")
+        calls = self.counted(monkeypatch, [(module, name) for name in names])
+        argv = ["simulate", "--range", "2", "100", "--question", "composite"]
+        assert main([*argv, "--out", str(tmp_path / "out.json")]) == 0
+        assert calls == {
+            "prepare_superposition": 1, "grover_run": 1, "quantum_count": 1,
+            "apply_marking": 0, "post_select_flag": 0,
+        }

@@ -68,6 +68,11 @@ class TestPrepare:
         assert len(nz) == 8
         assert all(abs(a) == pytest.approx(1 / sqrt(8)) for *_, a in nz)
 
+    def test_large_support_has_unit_norm(self):
+        # 600k amplitudes: past the size where a BLAS-accumulated norm drifts by > 1e-12
+        state = prepare_superposition(range(1, 2001), range(1, 301))
+        assert abs(state.norm() - 1.0) < 1e-13
+
     def test_duplicates_rejected(self):
         with pytest.raises(DomainError):
             prepare_superposition([1, 1], [2])
