@@ -107,23 +107,22 @@ def _min_cover_size(full: int, masks: list[int], upper: int) -> int:
     order = sorted(range(len(masks)), key=lambda j: -masks[j].bit_count())
     masks_o = [masks[j] for j in order]
     best = upper
-
-    def covering_of(bit: int) -> list[int]:
-        return [j for j, m in enumerate(masks_o) if m >> bit & 1]
-
-    def dfs(covered: int, used: int) -> None:
-        nonlocal best
+    # depth-first with an explicit stack (the depth reaches the cover size);
+    # children are pushed in reverse so they are visited in branching order
+    stack = [(0, 0)]
+    while stack:
+        covered, used = stack.pop()
         if covered == full:
             best = min(best, used)
-            return
+            continue
         if used + 1 >= best:
-            return
+            continue
         remaining = full & ~covered
         max_gain = max((m & remaining).bit_count() for m in masks_o)
         if max_gain == 0:
-            return
+            continue
         if used + ceil(remaining.bit_count() / max_gain) >= best:
-            return
+            continue
         # branch on the scarcest uncovered target
         bit, scarcity = -1, None
         r = remaining
@@ -133,10 +132,9 @@ def _min_cover_size(full: int, masks: list[int], upper: int) -> int:
             if scarcity is None or n < scarcity:
                 bit, scarcity = b, n
             r &= r - 1
-        for j in sorted(covering_of(bit), key=lambda j: -(masks_o[j] & remaining).bit_count()):
-            dfs(covered | masks_o[j], used + 1)
-
-    dfs(0, 0)
+        covering = [j for j, m in enumerate(masks_o) if m >> bit & 1]
+        covering.sort(key=lambda j: -(masks_o[j] & remaining).bit_count())
+        stack.extend((covered | masks_o[j], used + 1) for j in reversed(covering))
     return best
 
 
@@ -150,26 +148,23 @@ def _lexmin_cover(full: int, masks: list[int], size: int) -> list[int] | None:
     suffix_union = [0] * (n + 1)
     for j in range(n - 1, -1, -1):
         suffix_union[j] = suffix_union[j + 1] | masks[j]
-
-    def dfs(j: int, covered: int, chosen: list[int]) -> list[int] | None:
+    # explicit stack; the exclude branch is pushed first so include runs first
+    stack: list[tuple[int, int, tuple[int, ...]]] = [(0, 0, ())]
+    while stack:
+        j, covered, chosen = stack.pop()
         if covered == full:
             return list(chosen)
         if j == n or len(chosen) == size:
-            return None
+            continue
         if covered | suffix_union[j] != full:
-            return None
+            continue
         remaining = full & ~covered
         max_gain = max((masks[k] & remaining).bit_count() for k in range(j, n))
         if max_gain == 0 or len(chosen) + ceil(remaining.bit_count() / max_gain) > size:
-            return None
-        chosen.append(j)
-        hit = dfs(j + 1, covered | masks[j], chosen)
-        if hit is not None:
-            return hit
-        chosen.pop()
-        return dfs(j + 1, covered, chosen)
-
-    return dfs(0, 0, [])
+            continue
+        stack.append((j + 1, covered, chosen))
+        stack.append((j + 1, covered | masks[j], chosen + (j,)))
+    return None
 
 
 def min_set_cover(

@@ -3,7 +3,8 @@
 Everything here is exact over the unsigned 64-bit range; no probabilistic
 shortcuts. Factor-hungry operations (``mobius``, ``factorize``) run trial
 division against a fixed prime pool and reject inputs whose cofactor is
-neither prime nor a prime square, rather than guessing.
+neither prime nor a prime square, rather than guessing. ``trial_divide`` is
+the division loop ``factorize`` and the witness builders share.
 """
 
 from __future__ import annotations
@@ -64,6 +65,24 @@ def _trial_primes() -> tuple[int, ...]:
     return tuple(primes_upto(_TRIAL_LIMIT))
 
 
+def trial_divide(k: int, primes) -> tuple[dict[int, int], int]:
+    """Divide k >= 1 by the ascending primes until p * p exceeds what is left.
+
+    Returns ({p: exponent}, cofactor). The cofactor has no prime factor in the
+    part of the pool that was tried, so it is 1 or a prime whenever the pool
+    holds every prime up to sqrt(k).
+    """
+    factors: dict[int, int] = {}
+    rest = k
+    for p in primes:
+        if p * p > rest:
+            break
+        while rest % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            rest //= p
+    return factors, rest
+
+
 def factorize(k: int) -> dict[int, int]:
     """Prime factorization {p: exponent} by trial division.
 
@@ -73,21 +92,14 @@ def factorize(k: int) -> dict[int, int]:
     _check_u64(k, "k")
     if k < 1:
         raise DomainError(f"cannot factor {k}; argument must be >= 1")
-    factors: dict[int, int] = {}
-    rest = k
-    for p in _trial_primes():
-        if p * p > rest:
-            break
-        while rest % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            rest //= p
+    factors, rest = trial_divide(k, _trial_primes())
     if rest > 1:
         if is_prime(rest):
-            factors[rest] = factors.get(rest, 0) + 1
+            factors[rest] = 1
         else:
             root = isqrt(rest)
             if root * root == rest and is_prime(root):
-                factors[root] = factors.get(root, 0) + 2
+                factors[root] = 2
             else:
                 raise DomainError(
                     f"{k} has a composite cofactor {rest} beyond trial-division reach"
@@ -172,20 +184,6 @@ def primes_upto(x: int) -> list[int]:
     """All primes p with 2 <= p <= x, ascending."""
     flags = _eratosthenes(x)
     return [i for i in range(2, x + 1) if flags[i]]
-
-
-def prime_pi(x: int) -> int:
-    """Number of primes <= x."""
-    return sum(_eratosthenes(x))
-
-
-def is_integer_ratio(s: int, w: int) -> bool:
-    """True iff w divides s exactly. w = 0 is a domain error."""
-    _check_u64(s, "s")
-    _check_u64(w, "w")
-    if w == 0:
-        raise DomainError("division witness w must be >= 1")
-    return s % w == 0
 
 
 def recurrence_orbit(p: int, q: int, bound: int) -> list[int]:

@@ -220,14 +220,6 @@ def grover_iterations_optimal(n_total: int, n_marked: int) -> int:
     return floor((pi / 4.0) * sqrt(n_total / n_marked))
 
 
-def marked_probability(state: StateVector, oracle: MarkedOracle) -> float:
-    """Total probability on marked (s, w) pairs, flag ignored."""
-    total = 0.0
-    for s, w in oracle.marked:
-        total += abs(state.amplitude(s, w, 0)) ** 2 + abs(state.amplitude(s, w, 1)) ** 2
-    return total
-
-
 def grover_run(
     state: StateVector, oracle: MarkedOracle, iterations: int
 ) -> tuple[list[float], StateVector]:

@@ -4,6 +4,11 @@ Each builder encodes one marking oracle verbatim: the congruence oracle for
 affine-recurrence questions, the divisor oracle for compositeness, the
 prime-quotient oracle for the Möbius question, and the self-pairing oracle.
 Targets with no witness are kept and surfaced, never silently dropped.
+
+The composite and Möbius builders factor each element once, by trial division
+over the primes up to sqrt(max(S)); what is left over is 1 or a prime. Rows
+are read off those factors, so the work grows with the number of elements
+and the sieve only with sqrt(max(S)).
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from dataclasses import dataclass, replace
 from math import isqrt
 
 from .errors import DomainError
-from .number_theory import is_prime, mobius_sieve, primes_upto
+from .number_theory import primes_upto, trial_divide
 from .sequences import SatisfyingSet, Sequence
 
 
@@ -77,16 +82,6 @@ class WitnessRelation:
             "full_pool": None if self.full_pool is None else list(self.full_pool),
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "WitnessRelation":
-        return cls(
-            targets=tuple(d["targets"]),
-            candidates=tuple(d["candidates"]),
-            incidence=tuple(tuple(row) for row in d["incidence"]),
-            oracle_descriptor=d["oracle"],
-            full_pool=None if d.get("full_pool") is None else tuple(d["full_pool"]),
-        )
-
 
 @dataclass(frozen=True)
 class CoverageReport:
@@ -114,27 +109,24 @@ def relation_recurrence(seq: Sequence, p: int, q: int) -> WitnessRelation:
     )
 
 
-def relation_composite(seq: Sequence, n: int | None = None) -> WitnessRelation:
-    """Divisor relation: primes up to sqrt(n) witness the composite elements.
+def relation_composite(seq: Sequence) -> WitnessRelation:
+    """Divisor relation: primes up to sqrt(max) witness the composite elements.
 
-    A prime never witnesses itself (s == w is excluded); the target set is
-    exactly the composite elements, each guaranteed a witness because its
-    smallest prime factor is at most sqrt(s) <= sqrt(n).
+    A row lists the element's prime factors in the pool other than the element
+    itself, so primes and 1 get empty rows and are not targets, while every
+    composite has its smallest prime factor, at most sqrt(max), as a witness.
     """
-    if n is None:
-        n = seq.max
-    elif n != seq.max:
-        raise DomainError(f"n must equal max(S) = {seq.max}, got {n}")
-    candidates = tuple(primes_upto(isqrt(n)))
+    candidates = tuple(primes_upto(isqrt(seq.max)))
+    index = {w: j for j, w in enumerate(candidates)}
     targets = []
     incidence = []
     for s in seq.elements:
-        if s <= 1 or is_prime(s):
-            continue
-        targets.append(s)
-        incidence.append(
-            tuple(j for j, w in enumerate(candidates) if s % w == 0 and s != w)
-        )
+        factors, rest = trial_divide(s, candidates)
+        # the cofactor is 1 or a prime above the factors; it witnesses only from the pool
+        row = [index[p] for p in (*factors, rest) if p != s and p in index]
+        if row:
+            targets.append(s)
+            incidence.append(tuple(row))
     return WitnessRelation(
         targets=tuple(targets),
         candidates=candidates,
@@ -147,19 +139,25 @@ def relation_mobius(seq: Sequence) -> WitnessRelation:
     """Prime-quotient relation for the Möbius question.
 
     Candidates are the mu = -1 elements of S; t witnesses s iff t divides s
-    and s/t is prime. The pool is pruned to candidates that witness at least
-    one target; the full mu = -1 pool is retained in ``full_pool``. Elements
-    like 1 end up with no witness and are reported, not rejected.
+    and s/t is prime, so the witnesses of s are its quotients s/p by its prime
+    factors p that land in the mu = -1 pool. The pool is pruned to candidates
+    that witness at least one target; the full mu = -1 pool is retained in
+    ``full_pool``. Elements like 1 end up with no witness and are reported,
+    not rejected.
     """
-    mu = mobius_sieve(seq.max)
+    pool = primes_upto(isqrt(seq.max))
+    primes_of: dict[int, tuple[int, ...]] = {}
     for s in seq.elements:
-        if mu[s] == 0:
+        factors, rest = trial_divide(s, pool)
+        if any(e > 1 for e in factors.values()):
             raise DomainError(f"element {s} is not squarefree")
-    full_pool = tuple(t for t in seq.elements if mu[t] == -1)
-    targets = tuple(s for s in seq.elements if mu[s] == 1)
+        primes_of[s] = (*factors, rest) if rest > 1 else tuple(factors)
+    # mu(s) = (-1)^(number of prime factors), so odd counts form the mu = -1 pool
+    full_pool = tuple(t for t in seq.elements if len(primes_of[t]) % 2)
+    targets = tuple(s for s in seq.elements if not len(primes_of[s]) % 2)
+    in_pool = set(full_pool)
     rows_by_value = {
-        s: tuple(t for t in full_pool if s % t == 0 and is_prime(s // t))
-        for s in targets
+        s: sorted(s // p for p in primes_of[s] if s // p in in_pool) for s in targets
     }
     used = sorted({t for row in rows_by_value.values() for t in row})
     index = {t: j for j, t in enumerate(used)}

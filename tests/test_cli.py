@@ -229,6 +229,29 @@ class TestLargeInputs:
         else:
             assert body["witness"]["covers"]["exact_cover"]["kind"] == "ExactCover"
 
+    def test_exact_set_cover_deeper_than_the_recursion_limit(self, tmp_path):
+        # about 1000 self-paired targets under the exact set-cover search
+        code, out = run(
+            tmp_path, "analyze", "--range", "2", "8000", "--question", "prime",
+            "--no-quantum", "--exact-threshold", "2000",
+        )
+        assert code == 0
+        cover = load(out)["report"]["covers"]["min_cover"]
+        assert (cover["kind"], cover["m"]) == ("ExactMinimumCover", 1007)
+
+    def test_mobius_elements_beyond_the_sieve_guard(self, tmp_path):
+        # max(S) is above 2e8, but the builder only sieves up to sqrt(max(S))
+        values = "2,3,6,1000000007,2000000014"
+        argv = ["--list", values, "--question", "mobius-plus-one"]
+        code, _ = run(tmp_path, "analyze", *argv, "--no-quantum")
+        assert code == 0
+        code, out = run(tmp_path, "witness", *argv, name="witness.json")
+        assert code == 0
+        relation = load(out)["witness"]["relation"]
+        assert relation["targets"] == [6, 2000000014]
+        assert relation["candidates"] == [2, 3, 1000000007]
+        assert relation["incidence"] == [[0, 1], [0, 2]]
+
 
 class TestConfigAndErrors:
     def test_config_file_supplies_defaults(self, tmp_path):

@@ -41,6 +41,18 @@ CASES = {
         "analyze", "--list", "2,3,5,6,10,15,30,105,210,1001", "--question", "mobius-plus-one",
     ],
     "list-identity": ["analyze", "--list", "5,12,40,333,1000", "--question", "identity"],
+    "witness-composite-2-100": ["witness", "--range", "2", "100", "--question", "composite"],
+    "witness-list-composite": [
+        "witness", "--list", "1,2,3,4,9,25,31,49,77,91,97,121,143,169,961,1021,1022",
+        "--question", "composite",
+    ],
+    "witness-list-mobius-plus-one": [
+        "witness", "--list", "1,2,3,5,6,7,10,14,15,21,30,35,105,210,1001,1002",
+        "--question", "mobius-plus-one",
+    ],
+    "analyze-mobius-sf120-classical": [
+        "analyze", "--squarefree", "120", "--question", "mobius-plus-one", "--no-quantum",
+    ],
 }
 
 

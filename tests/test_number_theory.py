@@ -1,3 +1,5 @@
+from math import isqrt
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,14 +7,13 @@ from hypothesis import strategies as st
 from qwitness.errors import DomainError
 from qwitness.number_theory import (
     factorize,
-    is_integer_ratio,
     is_prime,
     mobius,
     mobius_sieve,
-    prime_pi,
     primes_upto,
     recurrence_orbit,
     squarefree_support,
+    trial_divide,
 )
 
 
@@ -95,6 +96,26 @@ class TestFactorize:
         else:
             assert mobius(k) == (-1) ** len(f)
 
+    def test_prime_square_cofactor(self):
+        assert factorize(6 * 1_000_003**2) == {2: 1, 3: 1, 1_000_003: 2}
+
+
+class TestTrialDivide:
+    @given(st.integers(min_value=1, max_value=10**6), st.integers(min_value=1, max_value=1100))
+    def test_cofactor_is_one_or_prime_over_a_root_pool(self, k, bound):
+        # a pool reaching sqrt(k) leaves 1 or a prime; a shorter one may not
+        factors, rest = trial_divide(k, primes_upto(max(bound, isqrt(k))))
+        assert all(trial_division_prime(p) for p in factors)
+        assert rest == 1 or (trial_division_prime(rest) and rest > max(factors, default=1))
+        prod = rest
+        for p, e in factors.items():
+            prod *= p**e
+        assert prod == k
+
+    def test_short_pool_stops_at_its_end(self):
+        assert trial_divide(2 * 3 * 7 * 11, [2, 3]) == ({2: 1, 3: 1}, 77)
+        assert trial_divide(1, [2, 3]) == ({}, 1)
+
 
 class TestPrimesUpto:
     @pytest.mark.parametrize(
@@ -110,22 +131,12 @@ class TestPrimesUpto:
 
     @pytest.mark.parametrize("x,expected", [(10, 4), (0, 0), (100, 25)])
     def test_prime_pi_examples(self, x, expected):
-        assert prime_pi(x) == expected
+        assert len(primes_upto(x)) == expected
 
     @given(st.integers(min_value=0, max_value=5000))
     @settings(max_examples=60)
     def test_pi_counts_primes_upto(self, x):
-        assert prime_pi(x) == len(primes_upto(x))
-
-
-class TestIsIntegerRatio:
-    @pytest.mark.parametrize("s,w,expected", [(35, 5, True), (35, 4, False), (49, 7, True)])
-    def test_examples(self, s, w, expected):
-        assert is_integer_ratio(s, w) is expected
-
-    def test_zero_witness_rejected(self):
-        with pytest.raises(DomainError):
-            is_integer_ratio(10, 0)
+        assert primes_upto(x) == [k for k in range(x + 1) if trial_division_prime(k)]
 
 
 class TestRecurrenceOrbit:

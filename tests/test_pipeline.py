@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qwitness.cover
+import qwitness.number_theory
 import qwitness.sequences
 import qwitness.witnesses
 from qwitness.cli import main
 from qwitness.cover import Regime
-from qwitness.number_theory import prime_pi, squarefree_support
+from qwitness.number_theory import primes_upto, squarefree_support
 from qwitness.pipeline import AnalyzeOptions, analyze, cross_check
 from qwitness.quantum import StateVector
 from qwitness.sequences import (
@@ -96,7 +97,7 @@ class TestInvariants:
     @pytest.mark.parametrize("hi", [50, 100, 400])
     def test_composite_cover_size_is_prime_pi_of_sqrt(self, hi):
         report = analyze(Sequence.from_range(2, hi), IsComposite())
-        assert report.verdict.m == prime_pi(isqrt(hi))
+        assert report.verdict.m == len(primes_upto(isqrt(hi)))
 
     def test_even_question_is_single_witness(self):
         report = analyze(Sequence.from_range(1, 16), IsEven())
@@ -267,6 +268,20 @@ class TestComputeOnce:
         assert all(n <= 1 for n in calls.values()), calls
         assert calls["min_set_cover"] == calls["build_bitstring"] == 1
         assert calls["coverage_check"] == 1
+
+    @pytest.mark.parametrize(
+        "seq, question",
+        [(sf_seq(25), MobiusPlusOne()), (Sequence.from_range(2, 100), IsComposite())],
+        ids=["sf25-mobius", "composite-2-100"],
+    )
+    def test_elements_are_tested_once_and_nothing_is_sieved_to_max(
+        self, monkeypatch, seq, question
+    ):
+        module = qwitness.number_theory
+        calls = self.counted(monkeypatch, ((module, "is_prime"), (module, "mobius_sieve")))
+        analyze(seq, question)
+        assert calls["is_prime"] <= len(seq), calls
+        assert calls["mobius_sieve"] == 0, calls
 
     @pytest.mark.parametrize(
         "seq, question",

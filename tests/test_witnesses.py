@@ -1,11 +1,13 @@
 import json
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_relations as reference
 from qwitness.errors import DomainError
-from qwitness.number_theory import mobius, recurrence_orbit, squarefree_support
+from qwitness.number_theory import mobius, primes_upto, recurrence_orbit, squarefree_support
 from qwitness.sequences import SatisfyingSet, Sequence
 from qwitness.witnesses import (
     WitnessRelation,
@@ -19,6 +21,30 @@ from qwitness.witnesses import (
 
 def sf_seq(n):
     return Sequence.from_values(squarefree_support(n), label=f"sf{n}")
+
+
+LIST_MAX = 20_000
+SMALL_PRIMES = primes_upto(97)
+# every prime here exceeds sqrt(LIST_MAX), so it is a cofactor the pool cannot reach
+LARGE_PRIMES = [p for p in primes_upto(LIST_MAX // 2) if p * p > LIST_MAX]
+
+
+@st.composite
+def factor_rich_lists(draw, squarefree=False):
+    """Ascending lists below LIST_MAX holding 1, a prime at or below sqrt(max),
+    a prime square (unless squarefree), an element with a prime cofactor above
+    sqrt(max), and pairs b, b*p so that prime quotients occur."""
+    values = {1, *draw(st.sets(st.integers(1, LIST_MAX), max_size=40))}
+    q = draw(st.sampled_from(LARGE_PRIMES))
+    values.add(q * draw(st.integers(1, LIST_MAX // q).filter(lambda a: mobius(a) != 0)))
+    values.add(draw(st.sampled_from(SMALL_PRIMES)) ** 2)
+    for b, p in draw(st.lists(st.tuples(st.integers(1, 200), st.sampled_from(SMALL_PRIMES)),
+                              max_size=8)):
+        values |= {b, b * p}
+    if squarefree:
+        values = {v for v in values if mobius(v) != 0}
+    values.add(draw(st.sampled_from(primes_upto(isqrt(max(values))) or [2])))
+    return Sequence.from_values(sorted(values))
 
 
 class TestRecurrenceRelation:
@@ -67,9 +93,15 @@ class TestCompositeRelation:
         rel = relation_composite(Sequence.from_values([2, 3, 5, 7]))
         assert rel.targets == ()
 
-    def test_n_must_match_max(self):
-        with pytest.raises(DomainError):
-            relation_composite(Sequence.from_range(2, 100), n=99)
+    @given(factor_rich_lists())
+    @settings(max_examples=150)
+    def test_matches_the_scan_builder(self, seq):
+        assert relation_composite(seq) == reference.relation_composite(seq)
+
+    @pytest.mark.parametrize("hi", [2, 3, 4, 1500])
+    def test_matches_the_scan_builder_on_ranges(self, hi):
+        seq = Sequence.from_range(2, hi)
+        assert relation_composite(seq) == reference.relation_composite(seq)
 
     @given(st.integers(min_value=4, max_value=400))
     @settings(max_examples=40)
@@ -105,6 +137,25 @@ class TestMobiusRelation:
             t for t in squarefree_support(10) if mobius(t) == -1
         )
         assert set(rel.candidates) <= set(rel.full_pool)
+
+    @given(factor_rich_lists(squarefree=True))
+    @settings(max_examples=150)
+    def test_matches_the_scan_builder(self, seq):
+        assert relation_mobius(seq) == reference.relation_mobius(seq)
+
+    @pytest.mark.parametrize("n", [1, 2, 300])
+    def test_matches_the_scan_builder_on_squarefree_prefixes(self, n):
+        assert relation_mobius(sf_seq(n)) == reference.relation_mobius(sf_seq(n))
+
+    @given(factor_rich_lists())
+    @settings(max_examples=60)
+    def test_rejects_the_same_first_element(self, seq):
+        # every such list holds a prime square, so both builders must refuse it
+        with pytest.raises(DomainError) as new:
+            relation_mobius(seq)
+        with pytest.raises(DomainError) as old:
+            reference.relation_mobius(seq)
+        assert str(new.value) == str(old.value)
 
     @given(st.integers(min_value=4, max_value=60))
     @settings(max_examples=30)
@@ -169,8 +220,14 @@ class TestRelationMechanics:
 
     def test_json_round_trip(self):
         rel = relation_mobius(sf_seq(13))
-        blob = json.dumps(rel.to_json_dict())
-        assert WitnessRelation.from_json_dict(json.loads(blob)) == rel
+        d = json.loads(json.dumps(rel.to_json_dict()))
+        assert WitnessRelation(
+            targets=tuple(d["targets"]),
+            candidates=tuple(d["candidates"]),
+            incidence=tuple(tuple(row) for row in d["incidence"]),
+            oracle_descriptor=d["oracle"],
+            full_pool=tuple(d["full_pool"]),
+        ) == rel
 
     def test_invalid_incidence_rejected(self):
         with pytest.raises(DomainError):
