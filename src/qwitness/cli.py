@@ -24,7 +24,7 @@ from .pipeline import (
     cross_check,
     minimize_covered,
     quantum_stage,
-    relation_for,
+    witness_stage,
 )
 from .quantum import MAX_PHASE_BITS
 from .sequences import (
@@ -36,7 +36,6 @@ from .sequences import (
     Question,
     RecurrenceMembership,
     Sequence,
-    satisfying_set,
 )
 from .number_theory import squarefree_support
 from .witnesses import coverage_check
@@ -255,8 +254,7 @@ def cmd_analyze(config: RunConfig) -> int:
 
 
 def cmd_witness(config: RunConfig) -> int:
-    satisfying = satisfying_set(config.sequence, config.question)
-    relation, _faithful = relation_for(config.sequence, config.question, satisfying)
+    _bits, relation, _faithful = witness_stage(config.sequence, config.question)
     coverage = coverage_check(relation)
     _restricted, mini = minimize_covered(relation, coverage, config.exact_threshold)
     body = {
@@ -290,8 +288,7 @@ def cmd_witness(config: RunConfig) -> int:
 
 
 def cmd_simulate(config: RunConfig) -> int:
-    satisfying = satisfying_set(config.sequence, config.question)
-    relation, _faithful = relation_for(config.sequence, config.question, satisfying)
+    _bits, relation, _faithful = witness_stage(config.sequence, config.question)
     if not relation.candidates:
         raise DomainError("nothing to amplify: the relation has no candidate witnesses")
     stage = quantum_stage(config.sequence.elements, relation, config.qubit_cap)

@@ -3,14 +3,20 @@
 Everything here is exact over the unsigned 64-bit range; no probabilistic
 shortcuts. Factor-hungry operations (``mobius``, ``factorize``) run trial
 division against a fixed prime pool and reject inputs whose cofactor is
-neither prime nor a prime square, rather than guessing. ``trial_divide`` is
-the division loop ``factorize`` and the witness builders share.
+neither prime nor a prime square, rather than guessing; they are the point
+route and the test oracle. ``trial_divide`` is the division loop ``factorize``
+and ``factor_elements`` share; ``factor_elements`` factors a whole sequence
+once over the primes up to sqrt(max), which the bitstring and the witness
+relation both read.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -81,6 +87,34 @@ def trial_divide(k: int, primes) -> tuple[dict[int, int], int]:
             factors[p] = factors.get(p, 0) + 1
             rest //= p
     return factors, rest
+
+
+@dataclass(frozen=True)
+class Factorization:
+    """Elements factored once over ``primes``, every prime up to sqrt(max).
+
+    ``rows[i]`` is ``trial_divide(elements[i], primes)``. The pool reaches the
+    square root of every element, so each cofactor is 1 or a prime above the
+    pool factors: an element is composite iff it has a pool factor.
+    """
+
+    elements: tuple[int, ...]
+    primes: list[int]
+    rows: tuple[tuple[dict[int, int], int], ...]
+
+
+def factor_elements(elements) -> Factorization:
+    """Sieve the primes up to sqrt(max(elements)) once and factor each element."""
+    elements = tuple(elements)
+    primes = primes_upto(isqrt(max(elements)))
+    return Factorization(elements, primes, tuple(trial_divide(s, primes) for s in elements))
+
+
+def mobius_of(factors: dict[int, int], rest: int) -> int:
+    """mu from a factorization whose cofactor is 1 or a prime."""
+    if any(e > 1 for e in factors.values()):
+        return 0
+    return -1 if (len(factors) + (rest > 1)) % 2 else 1
 
 
 def factorize(k: int) -> dict[int, int]:
@@ -182,8 +216,7 @@ def _eratosthenes(x: int) -> bytearray:
 
 def primes_upto(x: int) -> list[int]:
     """All primes p with 2 <= p <= x, ascending."""
-    flags = _eratosthenes(x)
-    return [i for i in range(2, x + 1) if flags[i]]
+    return np.flatnonzero(np.frombuffer(_eratosthenes(x), np.uint8)).tolist()
 
 
 def recurrence_orbit(p: int, q: int, bound: int) -> list[int]:

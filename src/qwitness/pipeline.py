@@ -246,23 +246,46 @@ class RandomnessReport:
         }
 
 
-def relation_for(
-    seq: Sequence, question: Question, satisfying
+def _relation_for(
+    seq: Sequence, question: Question, bits: BitString
 ) -> tuple[WitnessRelation, bool]:
     """The witness relation a question induces, plus whether its target set
-    coincides with the question's ground truth."""
+    coincides with the question's ground truth. The composite and Möbius
+    relations read the factorization the bits were answered from."""
     if isinstance(question, RecurrenceMembership):
         # congruence oracle: marks residues, not orbit members
         return relation_recurrence(seq, question.p, question.q), False
     if isinstance(question, IsComposite):
-        return relation_composite(seq), True
+        return relation_composite(bits.factored), True
     if isinstance(question, MobiusPlusOne):
-        return relation_mobius(seq), True
+        return relation_mobius(bits.factored), True
     if isinstance(question, IsEven):
         return relation_recurrence(seq, 2, 0), True
     if isinstance(question, (IsPrime, IdentityIn)):
-        return relation_identity(satisfying), True
+        return relation_identity(bits.satisfying()), True
     raise DomainError(f"no witness relation defined for {question!r}")
+
+
+@contextmanager
+def _stage(name: str):
+    """Attribute domain errors to the pipeline stage raising them."""
+    try:
+        yield
+    except DomainError as exc:
+        raise DomainError(f"{name} stage: {exc}") from exc
+
+
+def witness_stage(
+    seq: Sequence, question: Question
+) -> tuple[BitString, WitnessRelation, bool]:
+    """Steps 1-2, shared by every view: the answer bits, the witness relation
+    and whether the relation's targets are the question's ground truth."""
+    with _stage("bitstring"):
+        bits = build_bitstring(seq, question)
+    with _stage("witness relation"):
+        relation, faithful = _relation_for(seq, question, bits)
+    # the relation has read the factorization; later stages must not hold it
+    return replace(bits, factored=None), relation, faithful
 
 
 @dataclass(frozen=True)
@@ -417,25 +440,13 @@ def minimize_covered(
     return restricted, minimize(restricted, exact_threshold)
 
 
-@contextmanager
-def _stage(name: str):
-    """Attribute domain errors to the pipeline stage raising them."""
-    try:
-        yield
-    except DomainError as exc:
-        raise DomainError(f"{name} stage: {exc}") from exc
-
-
 def analyze(
     seq: Sequence, question: Question, options: AnalyzeOptions = AnalyzeOptions()
 ) -> RandomnessReport:
     """Run the whole pipeline and assemble the report."""
-    with _stage("bitstring"):
-        bits = build_bitstring(seq, question)
-        satisfying = bits.satisfying()
-    with _stage("witness relation"):
-        relation, faithful = relation_for(seq, question, satisfying)
-        coverage = coverage_check(relation)
+    bits, relation, faithful = witness_stage(seq, question)
+    satisfying = bits.satisfying()
+    coverage = coverage_check(relation)
     notes: list[str] = []
     if coverage.uncovered:
         notes.append(

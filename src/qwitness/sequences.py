@@ -2,7 +2,9 @@
 
 A question applied elementwise to a sequence yields a bitstring; the elements
 answering 1 form the satisfying set whose size q is what the witness
-machinery downstream compresses against.
+machinery downstream compresses against. The composite and Möbius questions
+are answered from one factorization of the whole sequence, which the bitstring
+keeps for the witness relation built from the same facts.
 """
 
 from __future__ import annotations
@@ -11,9 +13,12 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError
 from .number_theory import (
+    Factorization,
     _check_u64,
+    factor_elements,
     is_prime,
     mobius,
+    mobius_of,
     recurrence_orbit,
 )
 
@@ -59,9 +64,16 @@ class Sequence:
 
 
 class Question:
-    """Base for the supported yes/no questions. Subclasses implement evaluate()."""
+    """Base for the supported yes/no questions. Subclasses implement evaluate(),
+    the point answer; the ``factored`` ones also implement read(), the answer
+    from an element's factorization, which build_bitstring uses instead."""
+
+    factored = False
 
     def evaluate(self, s: int) -> int:
+        raise NotImplementedError
+
+    def read(self, s: int, factors: dict[int, int], rest: int) -> int:
         raise NotImplementedError
 
     def describe(self) -> str:
@@ -95,8 +107,13 @@ class RecurrenceMembership(Question):
 
 @dataclass(frozen=True)
 class IsComposite(Question):
+    factored = True
+
     def evaluate(self, s: int) -> int:
         return 1 if s > 1 and not is_prime(s) else 0
+
+    def read(self, s: int, factors: dict[int, int], rest: int) -> int:
+        return 1 if factors else 0
 
     def describe(self) -> str:
         return "composite"
@@ -106,8 +123,16 @@ class IsComposite(Question):
 class MobiusPlusOne(Question):
     """Is mu(s) = +1? Only defined on squarefree arguments."""
 
+    factored = True
+
     def evaluate(self, s: int) -> int:
-        m = mobius(s)
+        return self._plus_one(s, mobius(s))
+
+    def read(self, s: int, factors: dict[int, int], rest: int) -> int:
+        return self._plus_one(s, mobius_of(factors, rest))
+
+    @staticmethod
+    def _plus_one(s: int, m: int) -> int:
         if m == 0:
             raise DomainError(f"mobius({s}) = 0; element outside the question's domain")
         return 1 if m > 0 else 0
@@ -157,6 +182,8 @@ class BitString:
     bits: tuple[int, ...]
     elements: tuple[int, ...]
     source: tuple[str, str]  # (sequence label, question descriptor)
+    # the factorization a factored question's bits were read from
+    factored: Factorization | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.bits) != len(self.elements):
@@ -197,14 +224,22 @@ def answer(question: Question, s: int) -> int:
 
 
 def build_bitstring(seq: Sequence, question: Question) -> BitString:
-    """Answer the question for every element; domain errors name the element."""
+    """Answer the question for every element; domain errors name the element.
+
+    A factored question reads every answer off one factorization of the
+    sequence, kept on the bitstring; the others answer element by element.
+    """
+    factored = factor_elements(seq.elements) if question.factored else None
     bits = []
-    for s in seq.elements:
+    for i, s in enumerate(seq.elements):
         try:
-            bits.append(answer(question, s))
+            if factored is None:
+                bits.append(answer(question, s))
+            else:
+                bits.append(question.read(s, *factored.rows[i]))
         except DomainError as exc:
             raise DomainError(f"element {s}: {exc}") from exc
-    return BitString(tuple(bits), seq.elements, (seq.label, question.describe()))
+    return BitString(tuple(bits), seq.elements, (seq.label, question.describe()), factored)
 
 
 def satisfying_set(seq: Sequence, question: Question) -> SatisfyingSet:

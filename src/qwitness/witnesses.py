@@ -5,19 +5,17 @@ affine-recurrence questions, the divisor oracle for compositeness, the
 prime-quotient oracle for the Möbius question, and the self-pairing oracle.
 Targets with no witness are kept and surfaced, never silently dropped.
 
-The composite and Möbius builders factor each element once, by trial division
-over the primes up to sqrt(max(S)); what is left over is 1 or a prime. Rows
-are read off those factors, so the work grows with the number of elements
-and the sieve only with sqrt(max(S)).
+The composite and Möbius builders read their rows off the factorization of
+the elements over the primes up to sqrt(max(S)) (``factor_elements``), the
+same one the bitstring was answered from; what is left over is 1 or a prime.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import isqrt
 
 from .errors import DomainError
-from .number_theory import primes_upto, trial_divide
+from .number_theory import Factorization
 from .sequences import SatisfyingSet, Sequence
 
 
@@ -109,19 +107,18 @@ def relation_recurrence(seq: Sequence, p: int, q: int) -> WitnessRelation:
     )
 
 
-def relation_composite(seq: Sequence) -> WitnessRelation:
+def relation_composite(factored: Factorization) -> WitnessRelation:
     """Divisor relation: primes up to sqrt(max) witness the composite elements.
 
     A row lists the element's prime factors in the pool other than the element
     itself, so primes and 1 get empty rows and are not targets, while every
     composite has its smallest prime factor, at most sqrt(max), as a witness.
     """
-    candidates = tuple(primes_upto(isqrt(seq.max)))
+    candidates = tuple(factored.primes)
     index = {w: j for j, w in enumerate(candidates)}
     targets = []
     incidence = []
-    for s in seq.elements:
-        factors, rest = trial_divide(s, candidates)
+    for s, (factors, rest) in zip(factored.elements, factored.rows):
         # the cofactor is 1 or a prime above the factors; it witnesses only from the pool
         row = [index[p] for p in (*factors, rest) if p != s and p in index]
         if row:
@@ -135,7 +132,7 @@ def relation_composite(seq: Sequence) -> WitnessRelation:
     )
 
 
-def relation_mobius(seq: Sequence) -> WitnessRelation:
+def relation_mobius(factored: Factorization) -> WitnessRelation:
     """Prime-quotient relation for the Möbius question.
 
     Candidates are the mu = -1 elements of S; t witnesses s iff t divides s
@@ -145,16 +142,15 @@ def relation_mobius(seq: Sequence) -> WitnessRelation:
     ``full_pool``. Elements like 1 end up with no witness and are reported,
     not rejected.
     """
-    pool = primes_upto(isqrt(seq.max))
+    elements = factored.elements
     primes_of: dict[int, tuple[int, ...]] = {}
-    for s in seq.elements:
-        factors, rest = trial_divide(s, pool)
+    for s, (factors, rest) in zip(elements, factored.rows):
         if any(e > 1 for e in factors.values()):
             raise DomainError(f"element {s} is not squarefree")
         primes_of[s] = (*factors, rest) if rest > 1 else tuple(factors)
     # mu(s) = (-1)^(number of prime factors), so odd counts form the mu = -1 pool
-    full_pool = tuple(t for t in seq.elements if len(primes_of[t]) % 2)
-    targets = tuple(s for s in seq.elements if not len(primes_of[s]) % 2)
+    full_pool = tuple(t for t in elements if len(primes_of[t]) % 2)
+    targets = tuple(s for s in elements if not len(primes_of[s]) % 2)
     in_pool = set(full_pool)
     rows_by_value = {
         s: sorted(s // p for p in primes_of[s] if s // p in in_pool) for s in targets

@@ -23,7 +23,7 @@ from qwitness.cover import (
     unique_witness_assignment,
 )
 from qwitness.cli import main
-from qwitness.number_theory import mobius, mobius_sieve, squarefree_support
+from qwitness.number_theory import factor_elements, mobius, mobius_sieve, squarefree_support
 from qwitness.pipeline import analyze
 from qwitness.quantum import (
     MarkedOracle,
@@ -97,7 +97,7 @@ def test_criterion_3_mobius_paradox():
         Sequence.from_values([3, 5, 7, 15, 21, 35], label="triple"),
         Sequence.from_values(squarefree_support(25), label="sf25"),
     ):
-        rel = relation_mobius(seq)
+        rel = relation_mobius(factor_elements(seq))
         covered = rel.restrict_targets(
             t for t, row in zip(rel.targets, rel.incidence) if row
         )
@@ -165,9 +165,9 @@ def test_criterion_5_quantum_counting():
     seq8 = Sequence.from_range(1, 8)
     cases.append((seq8.elements, relation_recurrence(seq8, 2, 1)))
     seq9 = Sequence.from_range(2, 9)
-    cases.append((seq9.elements, relation_composite(seq9)))
+    cases.append((seq9.elements, relation_composite(factor_elements(seq9))))
     sf8 = Sequence.from_values(squarefree_support(8), "sf8")
-    cases.append((sf8.elements, relation_mobius(sf8)))
+    cases.append((sf8.elements, relation_mobius(factor_elements(sf8))))
     cases.append(((1, 6, 10, 14), relation_identity(SatisfyingSet((1, 6, 10, 14)))))
     for s_values, rel in cases:
         oracle = MarkedOracle.from_relation(s_values, rel)

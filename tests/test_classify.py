@@ -16,7 +16,7 @@ from qwitness.classify import (
     schmidt,
 )
 from qwitness.errors import DomainError
-from qwitness.number_theory import squarefree_support
+from qwitness.number_theory import factor_elements, squarefree_support
 from qwitness.quantum import (
     MarkedOracle,
     RegisterLayout,
@@ -123,7 +123,7 @@ class TestClassify:
 
     def test_multi_witness_support_is_non_canonical(self):
         seq = Sequence.from_values(squarefree_support(25), "sf")
-        rel = relation_mobius(seq)
+        rel = relation_mobius(factor_elements(seq))
         covered = rel.restrict_targets(
             t for t, row in zip(rel.targets, rel.incidence) if row
         )
@@ -289,8 +289,9 @@ class TestMatchesPerPairReference:
     @pytest.mark.parametrize(
         "seq, relation_of",
         [
-            (Sequence.from_values(squarefree_support(25), "sf"), relation_mobius),
-            (Sequence.from_range(2, 60), relation_composite),
+            (Sequence.from_values(squarefree_support(25), "sf"),
+             lambda seq: relation_mobius(factor_elements(seq))),
+            (Sequence.from_range(2, 60), lambda seq: relation_composite(factor_elements(seq))),
             (Sequence.from_range(1, 30), lambda seq: relation_recurrence(seq, 3, 1)),
         ],
         ids=["mobius-sf25", "composite-2-60", "recurrence-1-30"],

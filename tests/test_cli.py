@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -251,6 +252,40 @@ class TestLargeInputs:
         assert relation["targets"] == [6, 2000000014]
         assert relation["candidates"] == [2, 3, 1000000007]
         assert relation["incidence"] == [[0, 1], [0, 2]]
+
+    LARGE_SEMIPRIME = ["--list", "6,1000036000099", "--question", "mobius-plus-one", "--no-quantum"]
+
+    def test_semiprime_beyond_the_fixed_trial_pool_analyze(self, tmp_path):
+        # 1000036000099 = 1000003 * 1000033: both factors lie past the fixed 1e5
+        # trial pool, but within the sqrt(max) pool the bitstring now reads
+        code, out = run(tmp_path, "analyze", *self.LARGE_SEMIPRIME)
+        assert code == 0
+        assert load(out)["report"]["bitstring"] == "11"
+
+    def test_semiprime_beyond_the_fixed_trial_pool_witness(self, tmp_path):
+        code, out = run(tmp_path, "witness", *self.LARGE_SEMIPRIME)
+        assert code == 0
+        # both elements answer 1, so both are targets; the mu = -1 pool is empty
+        relation = load(out)["witness"]["relation"]
+        assert relation["targets"] == [6, 1000036000099]
+        assert relation["full_pool"] == []
+
+    @pytest.mark.parametrize("command", ["analyze", "witness", "simulate"])
+    def test_sieve_guard_is_the_bitstring_stage(self, tmp_path, capsys, command):
+        # sqrt(max) = 316227766 is past the 2e8 sieve guard
+        tracemalloc.start()
+        try:
+            code, _ = run(tmp_path, command, "--list", "6,100000000000000003",
+                          "--question", "composite", "--no-quantum")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "qwitness: bitstring stage: sieve bound 316227766 exceeds the 200000000 guard\n"
+        )
+        assert peak < 4 << 20  # refused before the 316 MB sieve is allocated
 
 
 class TestConfigAndErrors:

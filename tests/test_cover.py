@@ -16,7 +16,7 @@ from qwitness.cover import (
     unique_witness_assignment,
 )
 from qwitness.errors import DomainError
-from qwitness.number_theory import squarefree_support
+from qwitness.number_theory import factor_elements, squarefree_support
 from qwitness.sequences import SatisfyingSet, Sequence
 from qwitness.witnesses import (
     WitnessRelation,
@@ -134,17 +134,17 @@ class TestMinSetCover:
         assert sol.chosen == (1, 6, 10, 14)
 
     def test_composite_100(self):
-        sol = min_set_cover(relation_composite(Sequence.from_range(2, 100)))
+        sol = min_set_cover(relation_composite(factor_elements(Sequence.from_range(2, 100))))
         assert sol.m == 4
         assert sol.chosen == (2, 3, 5, 7)
 
     def test_uncovered_target_rejected_by_name(self):
-        rel = relation_mobius(Sequence.from_values(squarefree_support(10), "sf"))
+        rel = relation_mobius(factor_elements(squarefree_support(10)))
         with pytest.raises(DomainError, match="target 1"):
             min_set_cover(rel)
 
     def test_greedy_above_threshold(self):
-        rel = relation_composite(Sequence.from_range(2, 100))
+        rel = relation_composite(factor_elements(Sequence.from_range(2, 100)))
         sol = min_set_cover(rel, exact_threshold=10)
         assert sol.kind is CoverKind.GREEDY
         assert sol.m >= 4  # never better than the optimum
@@ -245,7 +245,7 @@ class TestParadoxDetect:
         assert "strands" in result.narrative
 
     def test_composite_has_single_witness_targets(self):
-        result = mini(relation_composite(Sequence.from_range(2, 100)))
+        result = mini(relation_composite(factor_elements(Sequence.from_range(2, 100))))
         assert not result.paradox
         assert "single witness" in result.narrative
 
@@ -261,14 +261,14 @@ class TestParadoxDetect:
 
     def test_mobius_supports_beyond_thirteen(self):
         for n in (13, 20, 25):
-            rel = relation_mobius(Sequence.from_values(squarefree_support(n), "sf"))
+            rel = relation_mobius(factor_elements(squarefree_support(n)))
             covered = rel.restrict_targets(
                 t for t, row in zip(rel.targets, rel.incidence) if row
             )
             assert mini(covered).paradox, f"support({n}) should deadlock"
 
     def test_mobius_support_ten_does_not(self):
-        rel = relation_mobius(Sequence.from_values(squarefree_support(10), "sf"))
+        rel = relation_mobius(factor_elements(squarefree_support(10)))
         covered = rel.restrict_targets((6, 10, 14))
         assert not mini(covered).paradox  # {2} covers each of 6, 10, 14 exactly once
 
@@ -280,12 +280,12 @@ class TestCompressibilityVerdict:
         assert (v.m, v.q, v.regime, v.paradox) == (1, 10, Regime.COMPRESSIBLE, False)
 
     def test_composite(self):
-        rel = relation_composite(Sequence.from_range(2, 100))
+        rel = relation_composite(factor_elements(Sequence.from_range(2, 100)))
         v = mini(rel).verdict
         assert (v.m, v.q, v.regime) == (4, 74, Regime.COMPRESSIBLE)
 
     def test_mobius_deadlock_resolves_incompressible(self):
-        rel = relation_mobius(Sequence.from_values(squarefree_support(25), "sf"))
+        rel = relation_mobius(factor_elements(squarefree_support(25)))
         covered = rel.restrict_targets(
             t for t, row in zip(rel.targets, rel.incidence) if row
         )
@@ -323,7 +323,7 @@ def test_discard_replay_matches_reference(seed):
 
 def test_discard_replay_matches_reference_on_mobius_supports():
     for n in (13, 25, 60):
-        rel = relation_mobius(Sequence.from_values(squarefree_support(n), "sf"))
+        rel = relation_mobius(factor_elements(squarefree_support(n)))
         covered = rel.restrict_targets(
             t for t, row in zip(rel.targets, rel.incidence) if row
         )

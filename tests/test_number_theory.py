@@ -6,9 +6,12 @@ from hypothesis import strategies as st
 
 from qwitness.errors import DomainError
 from qwitness.number_theory import (
+    _eratosthenes,
+    factor_elements,
     factorize,
     is_prime,
     mobius,
+    mobius_of,
     mobius_sieve,
     primes_upto,
     recurrence_orbit,
@@ -137,6 +140,28 @@ class TestPrimesUpto:
     @settings(max_examples=60)
     def test_pi_counts_primes_upto(self, x):
         assert primes_upto(x) == [k for k in range(x + 1) if trial_division_prime(k)]
+
+    @pytest.mark.parametrize("x", [0, 1, 2, 3, 100, 10**5])
+    def test_listing_matches_the_sieve_flags(self, x):
+        flags = _eratosthenes(x)
+        primes = primes_upto(x)
+        assert primes == [i for i in range(2, x + 1) if flags[i]]
+        assert all(type(p) is int for p in primes)
+
+
+class TestFactorElements:
+    def test_rows_factor_over_the_root_pool(self):
+        factored = factor_elements([1, 6, 9, 35, 97, 1000036000099])
+        assert factored.primes == primes_upto(1000017)
+        assert factored.rows == (
+            ({}, 1), ({2: 1}, 3), ({3: 2}, 1), ({5: 1}, 7), ({}, 97),
+            ({1000003: 1}, 1000033),
+        )
+
+    @given(st.integers(min_value=1, max_value=10**6))
+    @settings(max_examples=100)
+    def test_mobius_of_a_row_is_mobius(self, k):
+        assert mobius_of(*factor_elements([k]).rows[0]) == mobius(k)
 
 
 class TestRecurrenceOrbit:

@@ -257,6 +257,10 @@ class TestComputeOnce:
                     monkeypatch.setattr(mod, name, wrapper)
         return calls
 
+    @staticmethod
+    def number_theory(*names):
+        return [(qwitness.number_theory, name) for name in names]
+
     @pytest.mark.parametrize(
         "seq, question",
         [(sf_seq(25), MobiusPlusOne()), (Sequence.from_range(2, 100), IsComposite())],
@@ -277,11 +281,33 @@ class TestComputeOnce:
     def test_elements_are_tested_once_and_nothing_is_sieved_to_max(
         self, monkeypatch, seq, question
     ):
-        module = qwitness.number_theory
-        calls = self.counted(monkeypatch, ((module, "is_prime"), (module, "mobius_sieve")))
+        calls = self.counted(monkeypatch, self.number_theory(
+            "is_prime", "mobius", "mobius_sieve", "primes_upto", "trial_divide"
+        ))
         analyze(seq, question)
-        assert calls["is_prime"] <= len(seq), calls
-        assert calls["mobius_sieve"] == 0, calls
+        assert calls == {
+            "is_prime": 0, "mobius": 0, "mobius_sieve": 0,
+            "primes_upto": 1, "trial_divide": len(seq),
+        }
+
+    @pytest.mark.parametrize("command", ["analyze", "witness", "simulate"])
+    @pytest.mark.parametrize(
+        "argv, size",
+        [
+            (["--squarefree", "25", "--question", "mobius-plus-one"], 25),
+            (["--range", "2", "100", "--question", "composite"], 99),
+        ],
+        ids=["sf25-mobius", "composite-2-100"],
+    )
+    def test_every_view_factors_each_element_once(
+        self, monkeypatch, tmp_path, command, argv, size
+    ):
+        # the CLI builds the squarefree support itself, so mobius_sieve is not counted
+        calls = self.counted(monkeypatch, self.number_theory(
+            "is_prime", "mobius", "primes_upto", "trial_divide"
+        ))
+        assert main([command, *argv, "--out", str(tmp_path / "out.json")]) == 0
+        assert calls == {"is_prime": 0, "mobius": 0, "primes_upto": 1, "trial_divide": size}
 
     @pytest.mark.parametrize(
         "seq, question",

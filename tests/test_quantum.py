@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import dense_reference as dense
 from qwitness.classify import schmidt
 from qwitness.errors import DomainError, QubitCapError
+from qwitness.number_theory import factor_elements
 from qwitness.quantum import (
     MAX_PHASE_BITS,
     MarkedOracle,
@@ -86,7 +87,7 @@ class TestPrepare:
 
 class TestMarking:
     def test_divisor_case(self):
-        rel = relation_composite(Sequence.from_values([4, 5]))
+        rel = relation_composite(factor_elements(Sequence.from_values([4, 5])))
         oracle = MarkedOracle.from_relation([4, 5], rel)
         state = prepare_superposition([4, 5], [2])
         marked = apply_marking(state, oracle)
@@ -254,7 +255,7 @@ class TestCounting:
         assert est.estimated_m == pytest.approx(n * sin(pi * k_best / 2**t) ** 2, abs=1e-9)
 
     def test_shortcut_counts_pairs(self):
-        rel = relation_composite(Sequence.from_range(2, 30))
+        rel = relation_composite(factor_elements(Sequence.from_range(2, 30)))
         oracle = MarkedOracle.from_relation(range(2, 31), rel)
         assert len(oracle.marked) == len(rel.pairs())
 

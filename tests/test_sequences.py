@@ -1,9 +1,18 @@
+from bisect import bisect_right
+from math import isqrt
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwitness.errors import DomainError
-from qwitness.number_theory import recurrence_orbit, squarefree_support
+from qwitness.number_theory import (
+    is_prime,
+    mobius,
+    primes_upto,
+    recurrence_orbit,
+    squarefree_support,
+)
 from qwitness.sequences import (
     BitString,
     IdentityIn,
@@ -105,6 +114,68 @@ class TestBuildBitstring:
             BitString((0, 1), (2,), ("x", "y"))
         with pytest.raises(DomainError):
             BitString((2,), (2,), ("x", "y"))
+
+
+# the point oracle's trial pool: a semiprime whose smaller factor is in it stays
+# within the oracle's reach
+ORACLE_POOL = primes_upto(10**5)
+ROOT_PRIMES = primes_upto(10**6)
+
+
+def next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+@st.composite
+def factor_rich_lists(draw, squarefree=False):
+    """Ascending lists below 10^12 holding 1, semiprimes p*q with p <= 1e5,
+    primes at or below sqrt(max), an element b*Q whose prime cofactor Q lies
+    above sqrt(max), and prime squares: at least one, or none when squarefree."""
+    values = {1, *draw(st.sets(st.integers(1, 10**5), max_size=20))}
+    for p, q in draw(st.lists(st.tuples(st.sampled_from(ORACLE_POOL),
+                                        st.integers(2, 10**7)), min_size=1, max_size=4)):
+        values.add(p * next_prime(q))
+    squares = st.lists(st.sampled_from(ORACLE_POOL[:200]), min_size=int(not squarefree),
+                       max_size=3)
+    values |= {p * p for p in draw(squares)}
+    top = max(values)
+    root = isqrt(top)
+    big = next_prime(root + 1 + draw(st.integers(0, root)))
+    if big <= top:
+        values.add(big * draw(st.integers(1, min(top // big, 10**5))))
+    values |= set(draw(st.lists(st.sampled_from(ROOT_PRIMES[:200]), max_size=4)))
+    values.add(ROOT_PRIMES[draw(st.integers(0, bisect_right(ROOT_PRIMES, root) - 1))])
+    if squarefree:
+        values = {v for v in values if mobius(v) != 0}
+    return Sequence.from_values(sorted(values))
+
+
+class TestFactoredAnswers:
+    """Bits read off the factorization equal the point oracle's answers."""
+
+    @given(factor_rich_lists())
+    @settings(max_examples=60, deadline=None)
+    def test_composite_matches_is_prime(self, seq):
+        expected = tuple(int(s > 1 and not is_prime(s)) for s in seq)
+        assert build_bitstring(seq, IsComposite()).bits == expected
+
+    @given(factor_rich_lists(squarefree=True))
+    @settings(max_examples=60, deadline=None)
+    def test_mobius_plus_one_matches_mobius(self, seq):
+        expected = tuple(int(mobius(s) == 1) for s in seq)
+        assert build_bitstring(seq, MobiusPlusOne()).bits == expected
+
+    @given(factor_rich_lists())
+    @settings(max_examples=60, deadline=None)
+    def test_first_squared_factor_is_refused_with_the_point_text(self, seq):
+        bad = [s for s in seq if mobius(s) == 0]
+        with pytest.raises(DomainError) as exc:
+            build_bitstring(seq, MobiusPlusOne())
+        assert str(exc.value) == (
+            f"element {bad[0]}: mobius({bad[0]}) = 0; element outside the question's domain"
+        )
 
 
 class TestSatisfyingSet:

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 import reference_relations as reference
 from qwitness.errors import DomainError
-from qwitness.number_theory import mobius, primes_upto, recurrence_orbit, squarefree_support
+from qwitness.number_theory import (
+    factor_elements,
+    mobius,
+    primes_upto,
+    recurrence_orbit,
+    squarefree_support,
+)
 from qwitness.sequences import SatisfyingSet, Sequence
 from qwitness.witnesses import (
     WitnessRelation,
@@ -84,31 +90,31 @@ class TestRecurrenceRelation:
 
 class TestCompositeRelation:
     def test_range_100(self):
-        rel = relation_composite(Sequence.from_range(2, 100))
+        rel = relation_composite(factor_elements(Sequence.from_range(2, 100)))
         assert rel.candidates == (2, 3, 5, 7)
         assert rel.witnesses_of(49) == (7,)
         assert rel.witnesses_of(30) == (2, 3, 5)
 
     def test_all_prime_sequence(self):
-        rel = relation_composite(Sequence.from_values([2, 3, 5, 7]))
+        rel = relation_composite(factor_elements(Sequence.from_values([2, 3, 5, 7])))
         assert rel.targets == ()
 
     @given(factor_rich_lists())
     @settings(max_examples=150)
     def test_matches_the_scan_builder(self, seq):
-        assert relation_composite(seq) == reference.relation_composite(seq)
+        assert relation_composite(factor_elements(seq)) == reference.relation_composite(seq)
 
     @pytest.mark.parametrize("hi", [2, 3, 4, 1500])
     def test_matches_the_scan_builder_on_ranges(self, hi):
         seq = Sequence.from_range(2, hi)
-        assert relation_composite(seq) == reference.relation_composite(seq)
+        assert relation_composite(factor_elements(seq)) == reference.relation_composite(seq)
 
     @given(st.integers(min_value=4, max_value=400))
     @settings(max_examples=40)
     def test_every_composite_target_covered_and_no_prime_targets(self, hi):
         from qwitness.number_theory import is_prime
 
-        rel = relation_composite(Sequence.from_range(2, hi))
+        rel = relation_composite(factor_elements(Sequence.from_range(2, hi)))
         for t, row in zip(rel.targets, rel.incidence):
             assert not is_prime(t)
             assert row, f"composite {t} has no witness"
@@ -118,21 +124,21 @@ class TestCompositeRelation:
 
 class TestMobiusRelation:
     def test_paired_witnesses(self):
-        rel = relation_mobius(sf_seq(25))
+        rel = relation_mobius(factor_elements(sf_seq(25)))
         assert rel.witnesses_of(35) == (5, 7)
         assert rel.witnesses_of(21) == (3, 7)
 
     def test_one_is_uncovered(self):
-        rel = relation_mobius(sf_seq(10))
+        rel = relation_mobius(factor_elements(sf_seq(10)))
         assert rel.witnesses_of(1) == ()
         assert 1 in coverage_check(rel).uncovered
 
     def test_non_squarefree_rejected(self):
         with pytest.raises(DomainError):
-            relation_mobius(Sequence.from_values([1, 2, 4]))
+            relation_mobius(factor_elements(Sequence.from_values([1, 2, 4])))
 
     def test_full_pool_retained(self):
-        rel = relation_mobius(sf_seq(10))
+        rel = relation_mobius(factor_elements(sf_seq(10)))
         assert rel.full_pool == tuple(
             t for t in squarefree_support(10) if mobius(t) == -1
         )
@@ -141,18 +147,18 @@ class TestMobiusRelation:
     @given(factor_rich_lists(squarefree=True))
     @settings(max_examples=150)
     def test_matches_the_scan_builder(self, seq):
-        assert relation_mobius(seq) == reference.relation_mobius(seq)
+        assert relation_mobius(factor_elements(seq)) == reference.relation_mobius(seq)
 
     @pytest.mark.parametrize("n", [1, 2, 300])
     def test_matches_the_scan_builder_on_squarefree_prefixes(self, n):
-        assert relation_mobius(sf_seq(n)) == reference.relation_mobius(sf_seq(n))
+        assert relation_mobius(factor_elements(sf_seq(n))) == reference.relation_mobius(sf_seq(n))
 
     @given(factor_rich_lists())
     @settings(max_examples=60)
     def test_rejects_the_same_first_element(self, seq):
         # every such list holds a prime square, so both builders must refuse it
         with pytest.raises(DomainError) as new:
-            relation_mobius(seq)
+            relation_mobius(factor_elements(seq))
         with pytest.raises(DomainError) as old:
             reference.relation_mobius(seq)
         assert str(new.value) == str(old.value)
@@ -163,7 +169,7 @@ class TestMobiusRelation:
         # targets above 1 have exactly one witness per prime factor, evenly many
         from qwitness.number_theory import factorize
 
-        rel = relation_mobius(sf_seq(n))
+        rel = relation_mobius(factor_elements(sf_seq(n)))
         for t, row in zip(rel.targets, rel.incidence):
             if t == 1:
                 continue
@@ -189,7 +195,7 @@ class TestIdentityRelation:
 
 class TestCoverageCheck:
     def test_mobius_triple_anomalies(self):
-        rel = relation_mobius(sf_seq(25))
+        rel = relation_mobius(factor_elements(sf_seq(25)))
         report = coverage_check(rel)
         multi = {t for t, _ in report.multiply_witnessed}
         assert {15, 21, 35} <= multi
@@ -203,13 +209,13 @@ class TestCoverageCheck:
         assert report.shared_witnesses == ()
 
     def test_composite_shared_witness_two(self):
-        report = coverage_check(relation_composite(Sequence.from_range(2, 100)))
+        report = coverage_check(relation_composite(factor_elements(Sequence.from_range(2, 100))))
         assert (2, 49) in report.shared_witnesses
 
 
 class TestRelationMechanics:
     def test_restrict_targets(self):
-        rel = relation_mobius(sf_seq(25)).restrict_targets({15, 21, 35})
+        rel = relation_mobius(factor_elements(sf_seq(25))).restrict_targets({15, 21, 35})
         assert rel.targets == (15, 21, 35)
         assert rel.witnesses_of(15) == (3, 5)
 
@@ -219,7 +225,7 @@ class TestRelationMechanics:
             rel.witnesses_of(99)
 
     def test_json_round_trip(self):
-        rel = relation_mobius(sf_seq(13))
+        rel = relation_mobius(factor_elements(sf_seq(13)))
         d = json.loads(json.dumps(rel.to_json_dict()))
         assert WitnessRelation(
             targets=tuple(d["targets"]),
