@@ -121,17 +121,3 @@ def classify(state: StateVector, oracle: MarkedOracle) -> RandomnessClass:
     else:
         regime = RandomnessRegime.PARTIAL
     return RandomnessClass(regime, entropy, blocks, spectrum)
-
-
-def conditional_information(state: StateVector, w: int) -> list[tuple[int, float]]:
-    """The conditional distribution over s given the w register reads ``w``."""
-    matrix = _flag_matrix(state)
-    if w not in state.w_values:
-        raise DomainError(f"witness value {w} outside the w register")
-    column = np.abs(matrix[:, state.w_values.index(w)]) ** 2
-    total = float(column.sum())
-    if total <= _AMP_TOL:
-        raise DomainError(f"witness value {w} unseen in the marked support")
-    return [
-        (state.s_values[i], float(column[i] / total)) for i in np.flatnonzero(column > _AMP_TOL)
-    ]

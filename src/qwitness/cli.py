@@ -17,6 +17,7 @@ import sys
 from dataclasses import dataclass
 
 from . import __version__
+from .cover import DEFAULT_EXACT_THRESHOLD
 from .errors import DomainError, QubitCapError
 from .pipeline import (
     AnalyzeOptions,
@@ -26,7 +27,7 @@ from .pipeline import (
     quantum_stage,
     witness_stage,
 )
-from .quantum import MAX_PHASE_BITS
+from .quantum import DEFAULT_PHASE_BITS, DEFAULT_QUBIT_CAP, MAX_PHASE_BITS
 from .sequences import (
     IdentityIn,
     IsComposite,
@@ -43,9 +44,9 @@ from .witnesses import coverage_check
 ENV_QUBIT_CAP = "QWITNESS_QUBIT_CAP"
 
 _DEFAULTS = {
-    "qubit_cap": 24,
-    "phase_bits": 6,
-    "exact_threshold": 24,
+    "qubit_cap": DEFAULT_QUBIT_CAP,
+    "phase_bits": DEFAULT_PHASE_BITS,
+    "exact_threshold": DEFAULT_EXACT_THRESHOLD,
     "format": "json",
     "no_quantum": False,
 }
@@ -326,12 +327,14 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--p", type=int, help="recurrence multiplier")
     parser.add_argument("--q", type=int, help="recurrence offset / residue")
     parser.add_argument("--qubit-cap", dest="qubit_cap", type=int,
-                        help="register budget for the quantum stage (default 24)")
+                        help="register budget for the quantum stage "
+                             f"(default {DEFAULT_QUBIT_CAP})")
     parser.add_argument("--phase-bits", dest="phase_bits", type=int,
-                        help=f"counting precision t, 1..{MAX_PHASE_BITS} (default 6)")
+                        help=f"counting precision t, 1..{MAX_PHASE_BITS} "
+                             f"(default {DEFAULT_PHASE_BITS})")
     parser.add_argument("--exact-threshold", dest="exact_threshold", type=int,
                         help="max targets for exact minimization; greedy with "
-                             "an explicit tag above it (default 24)")
+                             f"an explicit tag above it (default {DEFAULT_EXACT_THRESHOLD})")
     parser.add_argument("--out", help="output path (default: stdout)")
     parser.add_argument("--format", choices=("json", "csv", "both"))
     parser.add_argument("--no-quantum", dest="no_quantum", action="store_const",

@@ -2,9 +2,11 @@
 
 The minimum-witness problem splits into two formal problems: the smallest set
 of witnesses covering every target (set cover), and the smallest covering
-every target exactly once (exact cover). ``minimize`` solves both once per
-relation; their divergence is the witness deadlock it reports, and its
-verdict resolves the deadlock by falling back to self-pairing witnesses.
+every target exactly once (exact cover). Both come from one include-first
+search for the lexicographically least smallest cover. ``minimize`` solves
+both once per relation; their divergence is the witness deadlock it reports,
+and its verdict resolves the deadlock by falling back to self-pairing
+witnesses.
 """
 
 from __future__ import annotations
@@ -102,69 +104,40 @@ def _greedy_cover(full: int, masks: list[int], values) -> list[int]:
     return chosen
 
 
-def _min_cover_size(full: int, masks: list[int], upper: int) -> int:
-    """Exact minimum cover size by branch and bound with a coverage lower bound."""
-    order = sorted(range(len(masks)), key=lambda j: -masks[j].bit_count())
-    masks_o = [masks[j] for j in order]
-    best = upper
-    # depth-first with an explicit stack (the depth reaches the cover size);
-    # children are pushed in reverse so they are visited in branching order
-    stack = [(0, 0)]
-    while stack:
-        covered, used = stack.pop()
-        if covered == full:
-            best = min(best, used)
-            continue
-        if used + 1 >= best:
-            continue
-        remaining = full & ~covered
-        max_gain = max((m & remaining).bit_count() for m in masks_o)
-        if max_gain == 0:
-            continue
-        if used + ceil(remaining.bit_count() / max_gain) >= best:
-            continue
-        # branch on the scarcest uncovered target
-        bit, scarcity = -1, None
-        r = remaining
-        while r:
-            b = (r & -r).bit_length() - 1
-            n = sum(1 for m in masks_o if m >> b & 1)
-            if scarcity is None or n < scarcity:
-                bit, scarcity = b, n
-            r &= r - 1
-        covering = [j for j, m in enumerate(masks_o) if m >> bit & 1]
-        covering.sort(key=lambda j: -(masks_o[j] & remaining).bit_count())
-        stack.extend((covered | masks_o[j], used + 1) for j in reversed(covering))
-    return best
+def _least_cover(full: int, masks: list[int], limit: int, disjoint: bool) -> list[int] | None:
+    """Lexicographically least of the smallest covers of at most ``limit`` candidates.
 
-
-def _lexmin_cover(full: int, masks: list[int], size: int) -> list[int] | None:
-    """Lexicographically smallest cover of exactly ``size`` candidates.
-
-    Candidates are assumed sorted ascending by witness value, so an
-    include-first depth-first search yields the smallest chosen tuple.
+    Candidates are ascending by witness value, so an include-first depth-first
+    search meets covers in lexicographic order: each cover it finds is the
+    least one of its size still allowed, and the limit then drops below it.
+    With ``disjoint`` a candidate joins only if it misses every target already
+    covered, so only exact covers are found. None when no cover fits.
     """
     n = len(masks)
     suffix_union = [0] * (n + 1)
     for j in range(n - 1, -1, -1):
         suffix_union[j] = suffix_union[j + 1] | masks[j]
+    best = None
     # explicit stack; the exclude branch is pushed first so include runs first
     stack: list[tuple[int, int, tuple[int, ...]]] = [(0, 0, ())]
     while stack:
         j, covered, chosen = stack.pop()
         if covered == full:
-            return list(chosen)
-        if j == n or len(chosen) == size:
+            best, limit = list(chosen), len(chosen) - 1
             continue
         if covered | suffix_union[j] != full:
             continue
         remaining = full & ~covered
         max_gain = max((masks[k] & remaining).bit_count() for k in range(j, n))
-        if max_gain == 0 or len(chosen) + ceil(remaining.bit_count() / max_gain) > size:
+        if len(chosen) + ceil(remaining.bit_count() / max_gain) > limit:
             continue
         stack.append((j + 1, covered, chosen))
-        stack.append((j + 1, covered | masks[j], chosen + (j,)))
-    return None
+        # a candidate adding no target is in no smallest cover, and with
+        # ``disjoint`` one overlapping the covered targets is in no exact cover
+        gain = masks[j] & remaining
+        if gain and (gain == masks[j] or not disjoint):
+            stack.append((j + 1, covered | gain, chosen + (j,)))
+    return best
 
 
 def min_set_cover(
@@ -172,31 +145,28 @@ def min_set_cover(
 ) -> CoverSolution:
     """Minimum-cardinality witness subset covering all targets.
 
-    Exact (branch and bound, lexicographically smallest witness set) up to
-    ``exact_threshold`` targets; greedy above it, and tagged as such so a
-    heuristic result is never presented as optimal.
+    Exact (the lexicographically least smallest witness set, searched below
+    the greedy size) up to ``exact_threshold`` targets; greedy above it, and
+    tagged as such so a heuristic result is never presented as optimal.
     """
     _require_covered(rel)
     if not rel.targets:
         return CoverSolution((), 0, CoverKind.EXACT_MINIMUM, "empty target set")
     full, masks = _masks(rel)
     values = rel.candidates
+    greedy = _greedy_cover(full, masks, values)
     if len(rel.targets) > exact_threshold:
-        chosen = _greedy_cover(full, masks, values)
         return CoverSolution(
-            tuple(sorted(values[j] for j in chosen)),
-            len(chosen),
+            tuple(sorted(values[j] for j in greedy)),
+            len(greedy),
             CoverKind.GREEDY,
             f"heuristic: {len(rel.targets)} targets exceed the exactness threshold "
             f"{exact_threshold}",
         )
-    greedy = _greedy_cover(full, masks, values)
-    size = _min_cover_size(full, masks, upper=len(greedy))
-    chosen = _lexmin_cover(full, masks, size)
-    assert chosen is not None and len(chosen) == size
+    chosen = _least_cover(full, masks, len(greedy), disjoint=False)
     return CoverSolution(
         tuple(values[j] for j in chosen),
-        size,
+        len(chosen),
         CoverKind.EXACT_MINIMUM,
         "branch-and-bound proved no smaller cover exists",
     )
@@ -205,36 +175,21 @@ def min_set_cover(
 def exact_cover(rel: WitnessRelation) -> CoverSolution:
     """Smallest witness subset covering every target exactly once, if any.
 
-    Exhaustive backtracking over disjoint candidate masks; returns
+    The cover search restricted to disjoint candidate masks; returns
     NoCoverExists when single coverage is impossible.
     """
     _require_covered(rel)
     if not rel.targets:
         return CoverSolution((), 0, CoverKind.EXACT_COVER, "empty target set")
     full, masks = _masks(rel)
-    values = rel.candidates
-    best: list[int] | None = None
-    # depth-first with an explicit stack (the depth reaches the cover size);
-    # children are pushed in reverse so they are visited in candidate order
-    stack: list[tuple[int, tuple[int, ...]]] = [(0, ())]
-    while stack:
-        covered, chosen = stack.pop()
-        if covered == full:
-            pick = sorted(values[j] for j in chosen)
-            if best is None or (len(pick), pick) < (len(best), best):
-                best = pick
-            continue
-        if best is not None and len(chosen) + 1 > len(best):
-            continue
-        remaining = full & ~covered
-        bit = (remaining & -remaining).bit_length() - 1
-        usable = [j for j, m in enumerate(masks) if (m >> bit & 1) and not (m & covered)]
-        stack.extend((covered | masks[j], chosen + (j,)) for j in reversed(usable))
-    if best is None:
+    chosen = _least_cover(full, masks, len(masks), disjoint=True)
+    if chosen is None:
         return CoverSolution(
             (), 0, CoverKind.NO_COVER, "every covering subset covers some target twice"
         )
-    return CoverSolution(tuple(best), len(best), CoverKind.EXACT_COVER)
+    return CoverSolution(
+        tuple(rel.candidates[j] for j in chosen), len(chosen), CoverKind.EXACT_COVER
+    )
 
 
 def unique_witness_assignment(

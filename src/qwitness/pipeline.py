@@ -102,14 +102,11 @@ class QuantumBlock:
     total_qubits: int | None = None
     support: int | None = None
     marked_pairs: int | None = None
-    shortcut_count: int | None = None  # classical tally; not a quantum result
     counting: CountEstimate | None = None
     grover_iterations: int | None = None
     grover_success: float | None = None
     grover_closed_form: float | None = None
     post_support_matches_pairs: bool | None = None
-    applied_prefactor: str = APPLIED_PREFACTOR
-    nominal_prefactor: str = NOMINAL_PREFACTOR
 
 
 @dataclass(frozen=True)
@@ -126,7 +123,6 @@ class RandomnessReport:
     assignment: tuple[tuple[int, int], ...] | None
     paradox: bool
     paradox_narrative: str
-    resolution_applied: bool
     verdict: CompressibilityVerdict
     compression_ratio: Fraction | None
     quantum: QuantumBlock
@@ -201,7 +197,7 @@ class RandomnessReport:
             "paradox": {
                 "detected": self.paradox,
                 "narrative": self.paradox_narrative,
-                "resolution_applied": self.resolution_applied,
+                "resolution_applied": self.paradox,
             },
             "compressibility": {
                 "m": self.verdict.m,
@@ -224,7 +220,7 @@ class RandomnessReport:
                 "total_qubits": self.quantum.total_qubits,
                 "support": self.quantum.support,
                 "marked_pairs": self.quantum.marked_pairs,
-                "classical_shortcut_count": self.quantum.shortcut_count,
+                "classical_shortcut_count": self.quantum.marked_pairs,  # a tally, not a quantum result
                 "counting": None if counting is None else counting.to_json_dict(),
                 "grover": {
                     "iterations": self.quantum.grover_iterations,
@@ -232,10 +228,7 @@ class RandomnessReport:
                     "closed_form": self.quantum.grover_closed_form,
                 },
                 "post_support_matches_pairs": self.quantum.post_support_matches_pairs,
-                "prefactor": {
-                    "applied": self.quantum.applied_prefactor,
-                    "nominal": self.quantum.nominal_prefactor,
-                },
+                "prefactor": {"applied": APPLIED_PREFACTOR, "nominal": NOMINAL_PREFACTOR},
             },
             "randomness": {
                 "primary": class_dict(self.randomness),
@@ -382,7 +375,6 @@ def _run_quantum(seq: Sequence, relation: WitnessRelation, options: AnalyzeOptio
         total_qubits=layout.total_qubits,
         support=oracle.support,
         marked_pairs=m_marked,
-        shortcut_count=m_marked,
         counting=stage.count(options.phase_bits),
     )
     if not m_marked:
@@ -540,7 +532,6 @@ def analyze(
         assignment=None if mini.assignment is None else tuple(mini.assignment.items()),
         paradox=mini.paradox,
         paradox_narrative=mini.narrative,
-        resolution_applied=mini.paradox,
         verdict=verdict,
         compression_ratio=ratio,
         quantum=quantum_block,

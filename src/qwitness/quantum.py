@@ -242,16 +242,6 @@ def grover_run(
     return trace, StateVector(amps, oracle.s_values, oracle.w_values, state.layout)
 
 
-def grover_amplify(state: StateVector, oracle: MarkedOracle, iterations: int) -> StateVector:
-    """Run ``iterations`` amplification rounds on a prepared state."""
-    return grover_run(state, oracle, iterations)[1]
-
-
-def grover_trace(state: StateVector, oracle: MarkedOracle, max_iterations: int) -> list[float]:
-    """Marked probability after k = 0..max_iterations rounds (incremental)."""
-    return grover_run(state, oracle, max_iterations)[0]
-
-
 @dataclass(frozen=True)
 class CountEstimate:
     estimated_m: float

@@ -240,7 +240,3 @@ def build_bitstring(seq: Sequence, question: Question) -> BitString:
         except DomainError as exc:
             raise DomainError(f"element {s}: {exc}") from exc
     return BitString(tuple(bits), seq.elements, (seq.label, question.describe()), factored)
-
-
-def satisfying_set(seq: Sequence, question: Question) -> SatisfyingSet:
-    return build_bitstring(seq, question).satisfying()

@@ -28,7 +28,7 @@ from qwitness.pipeline import analyze
 from qwitness.quantum import (
     MarkedOracle,
     counting_error_bound,
-    grover_trace,
+    grover_run,
     prepare_superposition,
     quantum_count,
 )
@@ -140,7 +140,7 @@ def test_criterion_4_grover_closed_form():
         state = prepare_superposition(range(1, n + 1), [1])
         for m in range(1, n + 1):
             oracle = synthetic_oracle(n, m)
-            trace = grover_trace(state, oracle, 10)
+            trace = grover_run(state, oracle, 10)[0]
             theta = asin(sqrt(m / n))
             for k, prob in enumerate(trace):
                 worst = max(worst, abs(prob - sin((2 * k + 1) * theta) ** 2))

@@ -11,7 +11,6 @@ from qwitness.classify import (
     RandomnessRegime,
     SchmidtSpectrum,
     classify,
-    conditional_information,
     entanglement_entropy,
     schmidt,
 )
@@ -192,35 +191,6 @@ class TestClassify:
         n_s = sum(len(v) for v in blocks.values())
         cls = classify(state, oracle)
         assert cls.entropy_bits <= log2(min(n_s, len(blocks))) + 1e-9
-
-
-class TestConditionalInformation:
-    def test_shared_witness_gives_no_information(self):
-        rel = block_relation({3: [5, 6, 7, 8]})
-        state, _ = marked_state(rel)
-        dist = conditional_information(state, 3)
-        assert dist == [(5, pytest.approx(0.25)), (6, pytest.approx(0.25)),
-                        (7, pytest.approx(0.25)), (8, pytest.approx(0.25))]
-
-    def test_paired_witness_gives_complete_information(self):
-        rel = relation_identity(SatisfyingSet((1, 6, 10)))
-        state, _ = marked_state(rel)
-        for s in (1, 6, 10):
-            assert conditional_information(state, s) == [(s, pytest.approx(1.0))]
-
-    def test_block_witness_localizes(self):
-        rel = block_relation({1: [3, 4], 2: [5, 6]})
-        state, _ = marked_state(rel)
-        assert conditional_information(state, 1) == [
-            (3, pytest.approx(0.5)),
-            (4, pytest.approx(0.5)),
-        ]
-
-    def test_unseen_witness_rejected(self):
-        rel = block_relation({1: [3, 4]})
-        state, _ = marked_state(rel)
-        with pytest.raises(DomainError):
-            conditional_information(state, 0)
 
 
 @st.composite

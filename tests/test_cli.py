@@ -240,6 +240,18 @@ class TestLargeInputs:
         cover = load(out)["report"]["covers"]["min_cover"]
         assert (cover["kind"], cover["m"]) == ("ExactMinimumCover", 1007)
 
+    @pytest.mark.parametrize("command", ["analyze", "witness"])
+    def test_exact_set_cover_on_a_large_mobius_support(self, tmp_path, command):
+        # 1000 squarefree elements: both covers come from one include-first search
+        code, out = run(
+            tmp_path, command, "--squarefree", "1000", "--question", "mobius-plus-one",
+            "--no-quantum", "--exact-threshold", "100000",
+        )
+        assert code == 0
+        covers = load(out)["report" if command == "analyze" else "witness"]["covers"]
+        assert (covers["min_cover"]["kind"], covers["min_cover"]["m"]) == ("ExactMinimumCover", 19)
+        assert covers["exact_cover"]["kind"] == "NoCoverExists"
+
     def test_mobius_elements_beyond_the_sieve_guard(self, tmp_path):
         # max(S) is above 2e8, but the builder only sieves up to sqrt(max(S))
         values = "2,3,6,1000000007,2000000014"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_cover as reference
 from qwitness.cover import (
     DEFAULT_EXACT_THRESHOLD,
     CoverKind,
@@ -44,13 +45,14 @@ MOBIUS_TRIPLE = make_relation(
 
 
 def brute_force_min_cover(rel):
+    """The first smallest cover in combinations order: the lexicographically least."""
     values = rel.candidates
     rows = [set(rel.candidates[j] for j in row) for row in rel.incidence]
     for size in range(len(values) + 1):
         for sub in itertools.combinations(values, size):
             picked = set(sub)
             if all(row & picked for row in rows):
-                return size
+                return sub
     return None
 
 
@@ -153,15 +155,12 @@ class TestMinSetCover:
         sol = min_set_cover(relation_identity(SatisfyingSet(())))
         assert sol.m == 0 and sol.kind is CoverKind.EXACT_MINIMUM
 
-    def test_matches_brute_force_on_random_corpus(self):
-        rng = random.Random(7)
-        for _ in range(60):
-            rel = random_relation(rng, max_targets=8, max_candidates=8)
-            sol = min_set_cover(rel)
-            assert sol.m == brute_force_min_cover(rel)
-            chosen = set(sol.chosen)
-            for row in rel.incidence:
-                assert chosen & {rel.candidates[j] for j in row}
+    @given(st.integers(min_value=0, max_value=2**32))
+    @settings(max_examples=60)
+    def test_matches_brute_force_on_random_corpus(self, seed):
+        rel = random_relation(random.Random(seed), max_targets=8, max_candidates=8)
+        sol = min_set_cover(rel)
+        assert sol.chosen == brute_force_min_cover(rel)  # the size and the tie-break
 
 
 class TestExactCover:
@@ -182,19 +181,54 @@ class TestExactCover:
         assert sol.chosen == (2,)
         assert sol.m == 1
 
-    def test_matches_brute_force_on_random_corpus(self):
-        rng = random.Random(11)
-        for _ in range(60):
-            rel = random_relation(rng, max_targets=7, max_candidates=7)
-            sol = exact_cover(rel)
-            brute = brute_force_exact_covers(rel)
-            if sol.kind is CoverKind.NO_COVER:
-                assert brute == []
-            else:
-                assert brute
-                assert sol.m == min(len(b) for b in brute)
-                rows = [set(rel.candidates[j] for j in row) for row in rel.incidence]
-                assert all(len(row & set(sol.chosen)) == 1 for row in rows)
+    @given(st.integers(min_value=0, max_value=2**32))
+    @settings(max_examples=60)
+    def test_matches_brute_force_on_random_corpus(self, seed):
+        rel = random_relation(random.Random(seed), max_targets=7, max_candidates=7)
+        sol = exact_cover(rel)
+        brute = brute_force_exact_covers(rel)
+        if sol.kind is CoverKind.NO_COVER:
+            assert brute == []
+        else:
+            # the first hit in combinations order is the least of the smallest
+            assert brute and sol.chosen == brute[0]
+
+
+def covered_only(rel):
+    return rel.restrict_targets(t for t, row in zip(rel.targets, rel.incidence) if row)
+
+
+class TestMatchesReference:
+    """Both covers equal the two-pass branch and bound and the lowest-target
+    exact-cover search they replaced, chosen witnesses included."""
+
+    @staticmethod
+    def assert_same_covers(rel):
+        cover = min_set_cover(rel, exact_threshold=len(rel.targets))
+        assert cover.kind is CoverKind.EXACT_MINIMUM
+        assert cover.chosen == reference.min_cover(rel)
+        single = exact_cover(rel)
+        expected = reference.exact_cover(rel)
+        if expected is None:
+            assert single.kind is CoverKind.NO_COVER
+        else:
+            assert (single.kind, single.chosen) == (CoverKind.EXACT_COVER, expected)
+
+    @given(st.integers(min_value=0, max_value=2**32))
+    @settings(max_examples=100, deadline=None)
+    def test_random_relations(self, seed):
+        self.assert_same_covers(random_relation(random.Random(seed), 24, 24))
+
+    @given(st.integers(min_value=1, max_value=400))
+    @settings(max_examples=30, deadline=None)
+    def test_mobius_supports(self, n):
+        rel = relation_mobius(factor_elements(squarefree_support(n)))
+        self.assert_same_covers(covered_only(rel))
+
+    @given(st.integers(min_value=2, max_value=300))
+    @settings(max_examples=30, deadline=None)
+    def test_composite_ranges(self, n):
+        self.assert_same_covers(relation_composite(factor_elements(Sequence.from_range(2, n))))
 
 
 class TestUniqueWitnessAssignment:
@@ -308,7 +342,7 @@ def test_paradox_matches_brute_force_definition(seed):
     exact_sizes = [len(sub) for sub in brute_force_exact_covers(rel)]
     expected = (
         all(len(row) >= 2 for row in rel.incidence)
-        and brute_force_min_cover(rel) < q
+        and len(brute_force_min_cover(rel)) < q
         and not any(size < q for size in exact_sizes)
     )
     assert mini(rel).paradox == expected

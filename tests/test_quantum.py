@@ -16,9 +16,8 @@ from qwitness.quantum import (
     RegisterLayout,
     apply_marking,
     counting_error_bound,
-    grover_amplify,
     grover_iterations_optimal,
-    grover_trace,
+    grover_run,
     post_select_flag,
     prepare_superposition,
     quantum_count,
@@ -134,19 +133,19 @@ class TestAmplify:
     def test_four_one_hits_certainty(self):
         oracle = synthetic_oracle(4, 1)
         state = prepare_superposition(range(1, 5), [1])
-        out = grover_amplify(state, oracle, 1)
+        out = grover_run(state, oracle, 1)[1]
         assert marked_mass(out, oracle) == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_iterations_is_uniform(self):
         oracle = synthetic_oracle(8, 3)
         state = prepare_superposition(range(1, 9), [1])
-        out = grover_amplify(state, oracle, 0)
+        out = grover_run(state, oracle, 0)[1]
         assert marked_mass(out, oracle) == pytest.approx(3 / 8)
 
     def test_eight_two_hits_certainty(self):
         oracle = synthetic_oracle(8, 2)
         state = prepare_superposition(range(1, 9), [1])
-        out = grover_amplify(state, oracle, 1)
+        out = grover_run(state, oracle, 1)[1]
         assert marked_mass(out, oracle) == pytest.approx(1.0, abs=1e-9)
 
     @given(
@@ -159,7 +158,7 @@ class TestAmplify:
         m = min(m, n)
         oracle = synthetic_oracle(n, m)
         state = prepare_superposition(range(1, n + 1), [1])
-        out = grover_amplify(state, oracle, k)
+        out = grover_run(state, oracle, k)[1]
         theta = asin(sqrt(m / n))
         assert marked_mass(out, oracle) == pytest.approx(
             sin((2 * k + 1) * theta) ** 2, abs=1e-9
@@ -169,11 +168,11 @@ class TestAmplify:
     def test_trace_matches_pointwise(self):
         oracle = synthetic_oracle(4, 1)
         state = prepare_superposition(range(1, 5), [1])
-        trace = grover_trace(state, oracle, 2)
+        trace = grover_run(state, oracle, 2)[0]
         assert trace[0] == pytest.approx(0.25)
         assert trace[1] == pytest.approx(1.0, abs=1e-9)
         for k, p in enumerate(trace):
-            out = grover_amplify(state, oracle, k)
+            out = grover_run(state, oracle, k)[1]
             assert marked_mass(out, oracle) == pytest.approx(p, abs=1e-12)
 
 
@@ -326,9 +325,9 @@ class TestMatchesDenseReference:
         old = dense.prepare_superposition(s_values, w_values, cap=64)
         assert_same_state(new, old)
         assert_same_state(apply_marking(new, oracle), dense.apply_marking(old, oracle))
-        assert_same_state(grover_amplify(new, oracle, k), dense.grover_amplify(old, oracle, k))
+        assert_same_state(grover_run(new, oracle, k)[1], dense.grover_amplify(old, oracle, k))
         assert np.allclose(
-            grover_trace(new, oracle, k), dense.grover_trace(old, oracle, k), rtol=0, atol=1e-12
+            grover_run(new, oracle, k)[0], dense.grover_trace(old, oracle, k), rtol=0, atol=1e-12
         )
         assert new.to_json_entries() == [
             [i, pytest.approx(re, abs=1e-12), pytest.approx(im, abs=1e-12)]

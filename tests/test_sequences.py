@@ -24,7 +24,6 @@ from qwitness.sequences import (
     Sequence,
     answer,
     build_bitstring,
-    satisfying_set,
 )
 
 
@@ -180,18 +179,18 @@ class TestFactoredAnswers:
 
 class TestSatisfyingSet:
     def test_composite_range(self):
-        sq = satisfying_set(Sequence.from_range(2, 12), IsComposite())
+        sq = build_bitstring(Sequence.from_range(2, 12), IsComposite()).satisfying()
         assert sq.elements == (4, 6, 8, 9, 10, 12)
         assert sq.q == 6
 
     def test_empty_targets(self):
-        sq = satisfying_set(Sequence.from_range(1, 10), IdentityIn(frozenset()))
+        sq = build_bitstring(Sequence.from_range(1, 10), IdentityIn(frozenset())).satisfying()
         assert sq.elements == ()
         assert sq.q == 0
 
     def test_mobius_support(self):
         seq = Sequence.from_values(squarefree_support(10), label="sf10")
-        sq = satisfying_set(seq, MobiusPlusOne())
+        sq = build_bitstring(seq, MobiusPlusOne()).satisfying()
         assert sq.elements == (1, 6, 10, 14)
         assert sq.q == 4
 
@@ -203,4 +202,5 @@ class TestSatisfyingSet:
     @settings(max_examples=60)
     def test_popcount_equals_cardinality(self, lo, span, question):
         seq = Sequence.from_range(lo, lo + span)
-        assert build_bitstring(seq, question).popcount() == satisfying_set(seq, question).q
+        bits = build_bitstring(seq, question)
+        assert bits.popcount() == bits.satisfying().q
