@@ -15,6 +15,10 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from functools import cache
+from json.encoder import encode_basestring_ascii
+from math import copysign, inf
+from operator import itemgetter
 
 from . import __version__
 from .cover import DEFAULT_EXACT_THRESHOLD
@@ -202,17 +206,104 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _round_floats(value):
-    if isinstance(value, float):
-        return float(f"{value:.12g}")
+_INDENT = "  "
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+class _FloatText(dict):
+    """Float -> its canonical JSON text, for one emission.
+
+    Zeros are never stored: 0.0 and -0.0 are equal keys but print differently.
+    """
+
+    def __missing__(self, value: float) -> str:
+        if not value:
+            return "-0.0" if copysign(1.0, value) < 0 else "0.0"
+        if value != value:
+            return "NaN"
+        if value == inf:
+            return "Infinity"
+        if value == -inf:
+            return "-Infinity"
+        text = self[value] = repr(float(f"{value:.12g}"))
+        return text
+
+
+def _scalar_texts(items: list, floats: _FloatText) -> list[str] | None:
+    """The JSON text of every item when all are scalars of the plain types, else None."""
+    kinds = set(map(type, items))
+    if not kinds <= _SCALARS:
+        return None
+    if len(kinds) == 1:
+        kind = kinds.pop()
+        return list(map(floats.__getitem__ if kind is float else _SCALAR_TEXT[kind], items))
+    return [floats[v] if type(v) is float else _SCALAR_TEXT[type(v)](v) for v in items]
+
+
+def _row_texts(rows: list, inner: str, floats: _FloatText) -> list[str] | None:
+    """The JSON text of every row when all are non-empty lists of scalars of
+    one width, else None. Cells are converted column by column and filled into
+    one row template."""
+    if not all(type(row) is list for row in rows):
+        return None
+    widths = set(map(len, rows))
+    if len(widths) != 1 or 0 in widths:
+        return None
+    width = widths.pop()
+    columns = [_scalar_texts(list(map(itemgetter(k), rows)), floats) for k in range(width)]
+    if None in columns:
+        return None
+    cell = inner + _INDENT + "{}"
+    template = "[" + ",".join([cell] * width) + inner + "]"
+    return list(map(template.format, *columns))
+
+
+def _encode(value, level: int, floats: _FloatText) -> str:
+    """``json.dumps(value, indent=2)`` at nesting ``level``, floats at 12 digits.
+
+    Lists of scalars, and lists of rows of scalars of one width, are joined in
+    one step; anything else recurses. Dict keys must be strings.
+    """
     if isinstance(value, dict):
-        return {k: _round_floats(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_round_floats(v) for v in value]
-    return value
+        if not value:
+            return "{}"
+        inner = "\n" + _INDENT * (level + 1)
+        items = []
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be strings, got {key!r}")
+            items.append(f"{encode_basestring_ascii(key)}: {_encode(item, level + 1, floats)}")
+        return "{" + inner + ("," + inner).join(items) + "\n" + _INDENT * level + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = "\n" + _INDENT * (level + 1)
+        texts = _scalar_texts(value, floats)
+        if texts is None:
+            texts = _row_texts(value, inner, floats)
+        if texts is None:
+            texts = [_encode(item, level + 1, floats) for item in value]
+        return "[" + inner + ("," + inner).join(texts) + "\n" + _INDENT * level + "]"
+    if isinstance(value, bool) or value is None:
+        return _SCALAR_TEXT[type(value)](value)
+    if isinstance(value, float):
+        return floats[float(value)]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def emit_json(body_key: str, body: dict, command: str, config: RunConfig) -> str:
+    """The canonical report text: ``json.dumps(indent=2)`` with every float
+    rounded to 12 significant digits, written in one pass."""
     envelope = {
         "meta": {
             "generator": f"qwitness {__version__}",
@@ -224,9 +315,9 @@ def emit_json(body_key: str, body: dict, command: str, config: RunConfig) -> str
                 "no_quantum": config.no_quantum,
             },
         },
-        body_key: _round_floats(body),
+        body_key: body,
     }
-    return json.dumps(envelope, indent=2) + "\n"
+    return _encode(envelope, 0, _FloatText()) + "\n"
 
 
 def _write(path: str | None, payload: str) -> None:
@@ -341,7 +432,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         const=True, help="classical stages only")
 
 
+@cache
 def make_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qwitness",
         description="Witness-set compressibility and randomness analysis of "

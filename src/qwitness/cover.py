@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from math import ceil
 
 from .errors import DomainError
@@ -89,18 +90,27 @@ def _require_covered(rel: WitnessRelation) -> None:
 
 
 def _greedy_cover(full: int, masks: list[int], values) -> list[int]:
+    """Each round picks the candidate of largest gain, ties to the smallest value.
+
+    Lazy: gains only fall as targets get covered, so a popped candidate whose
+    recomputed key still precedes the heap top is the round's pick.
+    """
+    heap = [(-mask.bit_count(), values[j], j) for j, mask in enumerate(masks) if mask]
+    heapify(heap)
     covered = 0
     chosen: list[int] = []
     while covered != full:
-        best, best_gain = None, 0
-        for j, mask in enumerate(masks):
-            gain = (mask & ~covered).bit_count()
-            if gain > best_gain or (gain == best_gain and gain and values[j] < values[best]):
-                best, best_gain = j, gain
-        if best_gain == 0:
+        if not heap:
             raise DomainError("greedy cover stuck on an uncoverable target")
-        chosen.append(best)
-        covered |= masks[best]
+        _, value, j = heappop(heap)
+        gain = (masks[j] & ~covered).bit_count()
+        if not gain:
+            continue
+        if heap and (-gain, value, j) > heap[0]:
+            heappush(heap, (-gain, value, j))
+            continue
+        chosen.append(j)
+        covered |= masks[j]
     return chosen
 
 
@@ -197,24 +207,40 @@ def unique_witness_assignment(
 ) -> tuple[bool, dict[int, int] | None]:
     """Injective target-to-witness assignment saturating all targets, if one exists.
 
-    Augmenting-path maximum matching; returns (True, {target: witness}) when
-    the matching saturates every target.
+    Augmenting-path maximum matching, target by target; returns (True,
+    {target: witness}) when the matching saturates every target and stops at
+    the first target it cannot match.
     """
+    incidence = rel.incidence
     match_of: dict[int, int] = {}  # candidate index -> target index
-
-    def augment(i: int, seen: set[int]) -> bool:
-        for j in rel.incidence[i]:
-            if j in seen:
+    partner: dict[int, int] = {}  # target index -> candidate index
+    for root in range(len(rel.targets)):
+        # depth-first search for an augmenting path on an explicit stack of
+        # (target, its untried candidates); each frame past the root was
+        # entered through the candidate its target holds
+        seen: set[int] = set()
+        frames = [(root, iter(incidence[root]))]
+        while frames:
+            for j in frames[-1][1]:
+                if j not in seen:
+                    break
+            else:
+                frames.pop()
                 continue
             seen.add(j)
-            if j not in match_of or augment(match_of[j], seen):
+            if j in match_of:
+                i = match_of[j]
+                frames.append((i, iter(incidence[i])))
+                continue
+            # flip the path, leaf first
+            for i, _untried in reversed(frames):
                 match_of[j] = i
-                return True
-        return False
-
-    matched = sum(augment(i, set()) for i in range(len(rel.targets)))
-    if matched != len(rel.targets):
-        return False, None
+                j, partner[i] = partner.get(i), j
+            break
+        else:
+            # no augmenting path from this target now means none later, so
+            # the maximum matching leaves it out
+            return False, None
     assignment = {rel.targets[i]: rel.candidates[j] for j, i in match_of.items()}
     return True, dict(sorted(assignment.items()))
 

@@ -110,19 +110,19 @@ class StateVector:
         """(n, m) grid of the (s, w) pairs carrying weight on either flag value."""
         return (np.abs(self.amplitudes) > _AMPLITUDE_TOL).any(axis=2)
 
-    def nonzero_pairs(self, tol: float = _AMPLITUDE_TOL) -> list[tuple[int, int, int, complex]]:
-        """(s, w, flag, amplitude) for every configuration carrying weight, in basis order."""
-        out = [
-            (self.s_values[i], self.w_values[j], int(f), complex(self.amplitudes[i, j, f]))
-            for i, j, f in zip(*np.nonzero(np.abs(self.amplitudes) > tol))
-        ]
-        return sorted(out, key=lambda entry: self.layout.index(*entry[:3]))
-
     def to_json_entries(self, tol: float = _AMPLITUDE_TOL) -> list[list]:
-        return [
-            [self.layout.index(s, w, f), a.real, a.imag]
-            for s, w, f, a in self.nonzero_pairs(tol)
-        ]
+        """[basis index, re, im] for every configuration carrying weight, in basis order."""
+        rows, cols, flags = np.nonzero(np.abs(self.amplitudes) > tol)
+        # indices of layouts past 63 qubits stay exact Python ints
+        dtype = np.int64 if self.layout.total_qubits < 64 else object
+        index = (
+            (np.array(self.s_values, dtype=dtype)[rows] << (self.layout.w_qubits + 1))
+            | (np.array(self.w_values, dtype=dtype)[cols] << 1)
+            | flags.astype(dtype)
+        )
+        order = np.argsort(index, kind="stable")
+        values = self.amplitudes[rows[order], cols[order], flags[order]]
+        return list(map(list, zip(index[order].tolist(), values.real.tolist(), values.imag.tolist())))
 
 
 @dataclass(frozen=True)

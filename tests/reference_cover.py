@@ -4,15 +4,54 @@
 and then looks for the lexicographically least cover of that size in a second
 pass; ``exact_cover`` branches on the lowest uncovered target over disjoint
 masks and keeps the best ``(size, values)`` it meets. Tests compare the one
-include-first search in ``qwitness.cover`` against them.
+include-first search in ``qwitness.cover`` against them. ``greedy_cover``
+rescans every candidate each round, and ``assignment`` finds augmenting paths
+by recursion; the lazy greedy and the explicit-stack matching must pick the
+same witnesses.
 """
 
 from __future__ import annotations
 
 from math import ceil
 
-from qwitness.cover import _greedy_cover, _masks
+from qwitness.cover import _masks
 from qwitness.witnesses import WitnessRelation
+
+
+def greedy_cover(full: int, masks: list[int], values) -> list[int]:
+    """Candidate indices in pick order: the largest gain, ties to the smallest value."""
+    covered = 0
+    chosen: list[int] = []
+    while covered != full:
+        best, best_gain = None, 0
+        for j, mask in enumerate(masks):
+            gain = (mask & ~covered).bit_count()
+            if gain > best_gain or (gain == best_gain and gain and values[j] < values[best]):
+                best, best_gain = j, gain
+        assert best_gain, "greedy cover stuck on an uncoverable target"
+        chosen.append(best)
+        covered |= masks[best]
+    return chosen
+
+
+def assignment(rel: WitnessRelation) -> dict[int, int] | None:
+    """{target: witness} from recursive augmenting paths, or None when the
+    matching leaves a target out."""
+    match_of: dict[int, int] = {}  # candidate index -> target index
+
+    def augment(i: int, seen: set[int]) -> bool:
+        for j in rel.incidence[i]:
+            if j in seen:
+                continue
+            seen.add(j)
+            if j not in match_of or augment(match_of[j], seen):
+                match_of[j] = i
+                return True
+        return False
+
+    if sum(augment(i, set()) for i in range(len(rel.targets))) != len(rel.targets):
+        return None
+    return dict(sorted((rel.targets[i], rel.candidates[j]) for j, i in match_of.items()))
 
 
 def _min_cover_size(full: int, masks: list[int], upper: int) -> int:
@@ -85,7 +124,7 @@ def min_cover(rel: WitnessRelation) -> tuple[int, ...]:
     if not rel.targets:
         return ()
     full, masks = _masks(rel)
-    greedy = _greedy_cover(full, masks, rel.candidates)
+    greedy = greedy_cover(full, masks, rel.candidates)
     size = _min_cover_size(full, masks, upper=len(greedy))
     chosen = _lexmin_cover(full, masks, size)
     assert chosen is not None and len(chosen) == size

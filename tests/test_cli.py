@@ -1,9 +1,10 @@
+import argparse
 import json
 import tracemalloc
 
 import pytest
 
-from qwitness.cli import main
+from qwitness.cli import main, make_parser
 
 
 def run(tmp_path, *argv, name="out.json"):
@@ -298,6 +299,28 @@ class TestLargeInputs:
             "qwitness: bitstring stage: sieve bound 316227766 exceeds the 200000000 guard\n"
         )
         assert peak < 4 << 20  # refused before the 316 MB sieve is allocated
+
+
+class TestParserOnce:
+    def test_one_parser_per_process(self, monkeypatch, tmp_path):
+        built = []
+        construct = argparse.ArgumentParser.__init__
+
+        def counting(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            construct(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        make_parser.cache_clear()
+        source = ["--range", "2", "30", "--question", "composite"]
+        assert main(["analyze", *source, "--out", str(tmp_path / "a.json")]) == 0
+        with pytest.raises(SystemExit) as stopped:
+            main(["analyze", *source, "--phase-bits", "many"])
+        assert stopped.value.code == 2
+        assert main(["witness", *source, "--out", str(tmp_path / "w.json")]) == 0
+        assert main(["simulate", *source, "--out", str(tmp_path / "s.json")]) == 0
+        # one build: the top-level parser and its three subcommand parsers
+        assert built == ["qwitness", "qwitness analyze", "qwitness witness", "qwitness simulate"]
 
 
 class TestConfigAndErrors:

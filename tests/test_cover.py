@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,8 @@ from qwitness.cover import (
     DEFAULT_EXACT_THRESHOLD,
     CoverKind,
     Regime,
+    _greedy_cover,
+    _masks,
     _simulate_discard,
     exact_cover,
     min_set_cover,
@@ -229,6 +232,50 @@ class TestMatchesReference:
     @settings(max_examples=30, deadline=None)
     def test_composite_ranges(self, n):
         self.assert_same_covers(relation_composite(factor_elements(Sequence.from_range(2, n))))
+
+
+class TestMatchesFirstWritten:
+    """The lazy greedy picks the witnesses the full rescan picked, in the same
+    order, and the explicit-stack matching returns the recursive one's assignment."""
+
+    @staticmethod
+    def assert_same_picks(rel):
+        full, masks = _masks(rel)
+        assert _greedy_cover(full, masks, rel.candidates) == reference.greedy_cover(
+            full, masks, rel.candidates
+        )
+        ok, assignment = unique_witness_assignment(rel)
+        assert assignment == reference.assignment(rel)
+        assert ok == (assignment is not None)
+
+    @given(st.integers(min_value=0, max_value=2**32))
+    @settings(max_examples=300, deadline=None)
+    def test_random_relations(self, seed):
+        self.assert_same_picks(random_relation(random.Random(seed), 40, 40))
+
+    @given(st.integers(min_value=1, max_value=700))
+    @settings(max_examples=30, deadline=None)
+    def test_mobius_supports(self, n):
+        rel = relation_mobius(factor_elements(squarefree_support(n)))
+        self.assert_same_picks(covered_only(rel))
+
+    @given(st.integers(min_value=2, max_value=2000))
+    @settings(max_examples=30, deadline=None)
+    def test_composite_ranges(self, n):
+        self.assert_same_picks(relation_composite(factor_elements(Sequence.from_range(2, n))))
+
+    def test_identity_range(self):
+        self.assert_same_picks(relation_identity(SatisfyingSet(tuple(range(1, 300)))))
+
+    def test_long_augmenting_path_needs_no_recursion(self):
+        # target i < n - 1 takes candidate i, then the last target, witnessed
+        # by candidate 0 alone, shifts every earlier match one candidate up
+        n = 3 * sys.getrecursionlimit()
+        rows = {t: [t, t + 1] for t in range(n - 1)}
+        rows[n - 1] = [0]
+        rel = make_relation(tuple(range(n)), tuple(range(n)), rows)
+        ok, assignment = unique_witness_assignment(rel)
+        assert ok and len(set(assignment.values())) == n
 
 
 class TestUniqueWitnessAssignment:

@@ -330,7 +330,7 @@ class TestComputeOnce:
         def per_pair(*_args, **_kwargs):
             raise AssertionError("analyze walked a state pair by pair")
 
-        monkeypatch.setattr(StateVector, "nonzero_pairs", per_pair)
+        monkeypatch.setattr(StateVector, "to_json_entries", per_pair)
         assert cross_check(analyze(seq, question)) == []
 
     def test_simulate_runs_only_the_steps_it_prints(self, monkeypatch, tmp_path):

@@ -68,9 +68,27 @@ class TestPrepare:
 
     def test_uniform_eight(self):
         state = prepare_superposition(range(2, 6), [2, 3])
-        nz = state.nonzero_pairs()
-        assert len(nz) == 8
-        assert all(abs(a) == pytest.approx(1 / sqrt(8)) for *_, a in nz)
+        entries = state.to_json_entries()
+        assert len(entries) == 8
+        assert all(abs(complex(re, im)) == pytest.approx(1 / sqrt(8)) for _, re, im in entries)
+
+    @pytest.mark.parametrize("s_values, w_values", [
+        ((9, 2, 5), (7, 3)),  # 9 qubits: int64 indices
+        ((1 << 60, 3, 7), (5, 1 << 40)),  # 103 qubits: Python int indices
+    ], ids=["small", "past-64-bits"])
+    def test_json_entries_in_basis_order(self, s_values, w_values):
+        state = prepare_superposition(s_values, w_values, cap=128)
+        oracle = MarkedOracle(s_values, w_values, frozenset({(s_values[0], w_values[1])}), "x")
+        state = apply_marking(state, oracle)
+        layout = state.layout
+        expected = sorted(
+            [layout.index(s, w, f), state.amplitude(s, w, f).real, 0.0]
+            for s in s_values for w in w_values for f in (0, 1)
+            if state.amplitude(s, w, f)
+        )
+        entries = state.to_json_entries()
+        assert entries == expected
+        assert all(type(index) is int for index, _, _ in entries)
 
     def test_large_support_has_unit_norm(self):
         # 600k amplitudes: past the size where a BLAS-accumulated norm drifts by > 1e-12
