@@ -59,9 +59,14 @@ def _flag_matrix(state: StateVector) -> np.ndarray:
 def schmidt(state: StateVector) -> SchmidtSpectrum:
     """Singular values across the s|w cut, descending; squared sum is 1."""
     matrix = _flag_matrix(state)
+    return _schmidt_split(matrix, np.abs(matrix))
+
+
+def _schmidt_split(matrix: np.ndarray, magnitudes: np.ndarray) -> SchmidtSpectrum:
+    """The spectrum of a flag matrix, given its elementwise magnitudes."""
     # zero rows/columns do not move singular values; trim for cheap SVDs
-    rows = np.flatnonzero(np.abs(matrix).sum(axis=1) > 0)
-    cols = np.flatnonzero(np.abs(matrix).sum(axis=0) > 0)
+    rows = np.flatnonzero(magnitudes.sum(axis=1) > 0)
+    cols = np.flatnonzero(magnitudes.sum(axis=0) > 0)
     sv = np.linalg.svd(matrix[np.ix_(rows, cols)], compute_uv=False)
     sv = np.clip(sv, 0.0, None)
     total = float(np.sum(sv**2))
@@ -92,7 +97,8 @@ def classify(state: StateVector, oracle: MarkedOracle) -> RandomnessClass:
     """
     if (state.s_values, state.w_values) != (oracle.s_values, oracle.w_values):
         raise DomainError("state value registers differ from the oracle support")
-    magnitudes = np.abs(_flag_matrix(state))
+    matrix = _flag_matrix(state)
+    magnitudes = np.abs(matrix)
     occupied = magnitudes > _AMP_TOL
     if not occupied.any():
         raise DomainError("empty marked support")
@@ -100,7 +106,7 @@ def classify(state: StateVector, oracle: MarkedOracle) -> RandomnessClass:
     if len(stray):
         s, w = state.s_values[stray[0][0]], state.w_values[stray[0][1]]
         raise DomainError(f"occupied pair ({s}, {w}) is not marked by the relation")
-    spectrum = schmidt(state)
+    spectrum = _schmidt_split(matrix, magnitudes)
     entropy = entanglement_entropy(spectrum)
     mags = magnitudes[occupied]
     if occupied.sum(axis=1).max() > 1 or mags.max() - mags.min() > _UNIFORM_TOL:

@@ -394,7 +394,7 @@ def cmd_simulate(config: RunConfig) -> int:
             "total_qubits": layout.total_qubits,
         },
         "support": oracle.support,
-        "marked_pairs": len(oracle.marked),
+        "marked_pairs": oracle.marked_count,
         "optimal_iterations": grover.iterations,
         "grover_trace": grover.trace,
         "grover_angle": grover.angle,

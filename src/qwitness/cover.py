@@ -84,6 +84,8 @@ def _masks(rel: WitnessRelation) -> tuple[int, list[int]]:
 
 
 def _require_covered(rel: WitnessRelation) -> None:
+    if all(rel.incidence):
+        return
     for t, row in zip(rel.targets, rel.incidence):
         if not row:
             raise DomainError(f"target {t} has no witness; remove uncovered targets first")
@@ -151,18 +153,22 @@ def _least_cover(full: int, masks: list[int], limit: int, disjoint: bool) -> lis
 
 
 def min_set_cover(
-    rel: WitnessRelation, exact_threshold: int = DEFAULT_EXACT_THRESHOLD
+    rel: WitnessRelation,
+    exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
+    *,
+    masks: tuple[int, list[int]] | None = None,
 ) -> CoverSolution:
     """Minimum-cardinality witness subset covering all targets.
 
     Exact (the lexicographically least smallest witness set, searched below
     the greedy size) up to ``exact_threshold`` targets; greedy above it, and
     tagged as such so a heuristic result is never presented as optimal.
+    ``masks`` is ``_masks(rel)`` when the caller already holds it.
     """
     _require_covered(rel)
     if not rel.targets:
         return CoverSolution((), 0, CoverKind.EXACT_MINIMUM, "empty target set")
-    full, masks = _masks(rel)
+    full, masks = _masks(rel) if masks is None else masks
     values = rel.candidates
     greedy = _greedy_cover(full, masks, values)
     if len(rel.targets) > exact_threshold:
@@ -182,16 +188,19 @@ def min_set_cover(
     )
 
 
-def exact_cover(rel: WitnessRelation) -> CoverSolution:
+def exact_cover(
+    rel: WitnessRelation, *, masks: tuple[int, list[int]] | None = None
+) -> CoverSolution:
     """Smallest witness subset covering every target exactly once, if any.
 
     The cover search restricted to disjoint candidate masks; returns
-    NoCoverExists when single coverage is impossible.
+    NoCoverExists when single coverage is impossible. ``masks`` is
+    ``_masks(rel)`` when the caller already holds it.
     """
     _require_covered(rel)
     if not rel.targets:
         return CoverSolution((), 0, CoverKind.EXACT_COVER, "empty target set")
-    full, masks = _masks(rel)
+    full, masks = _masks(rel) if masks is None else masks
     chosen = _least_cover(full, masks, len(masks), disjoint=True)
     if chosen is None:
         return CoverSolution(
@@ -298,7 +307,7 @@ def _deadlock(
     """
     if not rel.targets:
         return False, "no targets"
-    least = min(len(row) for row in rel.incidence)
+    least = min(map(len, rel.incidence))
     if least < 2:
         t = next(t for t, row in zip(rel.targets, rel.incidence) if len(row) == least)
         return False, f"target {t} has a single witness; nothing to discard there"
@@ -322,8 +331,9 @@ def minimize(rel: WitnessRelation, exact_threshold: int) -> Minimization:
     every target witnesses itself, so m becomes q and the bitstring counts as
     incompressible.
     """
-    cover = min_set_cover(rel, exact_threshold)
-    exact = exact_cover(rel)
+    masks = _masks(rel)
+    cover = min_set_cover(rel, exact_threshold, masks=masks)
+    exact = exact_cover(rel, masks=masks)
     _, assignment = unique_witness_assignment(rel)
     paradox, narrative = _deadlock(rel, cover, exact)
     q = len(rel.targets)

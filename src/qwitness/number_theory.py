@@ -4,16 +4,15 @@ Everything here is exact over the unsigned 64-bit range; no probabilistic
 shortcuts. Factor-hungry operations (``mobius``, ``factorize``) run trial
 division against a fixed prime pool and reject inputs whose cofactor is
 neither prime nor a prime square, rather than guessing; they are the point
-route and the test oracle. ``trial_divide`` is the division loop ``factorize``
-and ``factor_elements`` share; ``factor_elements`` factors a whole sequence
-once over the primes up to sqrt(max), which the bitstring and the witness
-relation both read.
+route and the test oracle. ``factor_elements`` tests a whole sequence once
+against every prime up to sqrt(max) in one array pass, which the bitstring and
+the witness relation both read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import isqrt
 
 import numpy as np
@@ -89,32 +88,85 @@ def trial_divide(k: int, primes) -> tuple[dict[int, int], int]:
     return factors, rest
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Elements factored once over ``primes``, every prime up to sqrt(max).
+# Cells per block of the divisibility pass: its temporaries stay near 9 MiB.
+_BLOCK_CELLS = 1 << 20
 
-    ``rows[i]`` is ``trial_divide(elements[i], primes)``. The pool reaches the
-    square root of every element, so each cofactor is 1 or a prime above the
-    pool factors: an element is composite iff it has a pool factor.
+
+@dataclass(frozen=True, eq=False)
+class Factorization:
+    """Which primes up to sqrt(max) divide which element, from one pass.
+
+    ``primes`` holds every prime up to sqrt(max(elements)) as uint64, and the
+    hit pairs (``hit_element[k]``, ``hit_prime[k]``), an element index and a
+    pool index, are every pool prime dividing an element, ordered by element
+    and then by prime. The pool reaches the square root of every element, so
+    an element is composite iff some hit prime is not the element itself, and
+    a squared prime factor of it is always a pool prime.
     """
 
-    elements: tuple[int, ...]
-    primes: list[int]
-    rows: tuple[tuple[dict[int, int], int], ...]
+    elements: tuple[int, ...]  # ascending
+    values: np.ndarray  # the elements as uint64
+    primes: np.ndarray
+    hit_element: np.ndarray
+    hit_prime: np.ndarray
+    hit_value: np.ndarray  # the prime of each hit pair
+
+    @cached_property
+    def proper(self) -> np.ndarray:
+        """Per hit pair: the prime is not the element itself."""
+        return self.hit_value != self.values[self.hit_element]
+
+    @cached_property
+    def square(self) -> np.ndarray:
+        """Per element: some p^2 divides it (mu = 0)."""
+        p = self.hit_value
+        square = np.zeros(len(self.elements), dtype=bool)
+        # p <= sqrt(max) < 2^32, so p * p fits in uint64
+        square[self.hit_element[self.values[self.hit_element] % (p * p) == 0]] = True
+        return square
+
+    def first_square(self) -> int | None:
+        """The first element with mu = 0, if any."""
+        i = int(self.square.argmax())
+        return self.elements[i] if self.square[i] else None
+
+    @cached_property
+    def cofactor(self) -> np.ndarray:
+        """Per element: the element over the product of its pool primes; 1 or a
+        prime wherever the element is squarefree."""
+        product = np.ones(len(self.elements), dtype=np.uint64)
+        np.multiply.at(product, self.hit_element, self.hit_value)
+        return self.values // product
+
+    @cached_property
+    def omega(self) -> np.ndarray:
+        """Per squarefree element: its number of prime factors."""
+        hits = np.bincount(self.hit_element, minlength=len(self.elements))
+        return hits + (self.cofactor > 1)
 
 
 def factor_elements(elements) -> Factorization:
-    """Sieve the primes up to sqrt(max(elements)) once and factor each element."""
+    """Sieve the primes up to sqrt(max(elements)) once and test every element
+    against every one of them, in blocks of at most about 2^20 cells.
+
+    The elements are ascending positive integers below 2^64 (a sequence's).
+    """
     elements = tuple(elements)
-    primes = primes_upto(isqrt(max(elements)))
-    return Factorization(elements, primes, tuple(trial_divide(s, primes) for s in elements))
-
-
-def mobius_of(factors: dict[int, int], rest: int) -> int:
-    """mu from a factorization whose cofactor is 1 or a prime."""
-    if any(e > 1 for e in factors.values()):
-        return 0
-    return -1 if (len(factors) + (rest > 1)) % 2 else 1
+    values = np.array(elements, dtype=np.uint64)
+    primes = _prime_pool(isqrt(max(elements)))
+    # a block spans whole pool rows when they fit, else one element's slice
+    rows = max(1, _BLOCK_CELLS // max(len(primes), 1))
+    cols = max(1, _BLOCK_CELLS // rows)
+    hit_element, hit_prime = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+    for i in range(0, len(values), rows):
+        for j in range(0, len(primes), cols):
+            r, c = np.nonzero(values[i : i + rows, None] % primes[None, j : j + cols] == 0)
+            hit_element.append(r + i)
+            hit_prime.append(c + j)
+    hit_prime = np.concatenate(hit_prime)
+    return Factorization(
+        elements, values, primes, np.concatenate(hit_element), hit_prime, primes[hit_prime]
+    )
 
 
 def factorize(k: int) -> dict[int, int]:
@@ -214,9 +266,14 @@ def _eratosthenes(x: int) -> bytearray:
     return flags
 
 
+def _prime_pool(x: int) -> np.ndarray:
+    """All primes p with 2 <= p <= x, ascending, as uint64."""
+    return np.flatnonzero(np.frombuffer(_eratosthenes(x), np.uint8)).view(np.uint64)
+
+
 def primes_upto(x: int) -> list[int]:
     """All primes p with 2 <= p <= x, ascending."""
-    return np.flatnonzero(np.frombuffer(_eratosthenes(x), np.uint8)).tolist()
+    return _prime_pool(x).tolist()
 
 
 def recurrence_orbit(p: int, q: int, bound: int) -> list[int]:

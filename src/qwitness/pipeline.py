@@ -12,6 +12,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import repeat
 from math import asin, sin, sqrt
 
 from .classify import RandomnessRegime, classify
@@ -312,7 +313,7 @@ class QuantumStage:
 
     def amplified(self) -> Amplification:
         """The optimal number of Grover rounds on the prepared state."""
-        m_marked, support = len(self.oracle.marked), self.oracle.support
+        m_marked, support = self.oracle.marked_count, self.oracle.support
         iterations = grover_iterations_optimal(support, m_marked)
         trace, state = grover_run(self.prepared, self.oracle, iterations)
         return Amplification(iterations, trace, state, asin(sqrt(m_marked / support)))
@@ -367,7 +368,7 @@ def _run_quantum(seq: Sequence, relation: WitnessRelation, options: AnalyzeOptio
     except QubitCapError as exc:
         return QuantumBlock(skipped=True, reason=str(exc)), None
     layout, oracle = stage.prepared.layout, stage.oracle
-    m_marked = len(oracle.marked)
+    m_marked = oracle.marked_count
     block = QuantumBlock(
         skipped=False,
         s_qubits=layout.s_qubits,
@@ -398,24 +399,26 @@ def _assigned_relation(
 ) -> WitnessRelation | None:
     """One witness per target: the injective assignment when it exists, else
     the smallest chosen cover witness of each target."""
-    if not restricted.targets:
+    if not all(restricted.incidence):
         return None
-    index = {w: j for j, w in enumerate(restricted.candidates)}
-    rows = []
+    candidates = restricted.candidates
+    index = dict(zip(candidates, range(len(candidates))))
     if assignment is not None:
-        for t in restricted.targets:
-            rows.append((index[assignment[t]],))
+        picks = map(index.__getitem__, map(assignment.__getitem__, restricted.targets))
     else:
-        chosen = set(cover.chosen)
-        for t, row in zip(restricted.targets, restricted.incidence):
-            usable = [restricted.candidates[j] for j in row if restricted.candidates[j] in chosen]
-            if not usable:
-                return None
-            rows.append((index[min(usable)],))
+        # rank the chosen witnesses by value; each target takes its least
+        # rank, and a witness outside the cover ranks last
+        chosen = list(map(index.__getitem__, sorted(cover.chosen)))
+        rank = dict(zip(chosen, range(len(chosen))))
+        last = repeat(len(chosen))
+        least = list(map(min, map(map, repeat(rank.get), restricted.incidence, repeat(last))))
+        if max(least) == len(chosen):
+            return None
+        picks = map(chosen.__getitem__, least)
     return WitnessRelation(
         targets=restricted.targets,
-        candidates=restricted.candidates,
-        incidence=tuple(rows),
+        candidates=candidates,
+        incidence=tuple(zip(picks)),
         oracle_descriptor=restricted.oracle_descriptor + " (one witness per target)",
     )
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from math import cos, floor, pi, sqrt
 
 import numpy as np
@@ -125,40 +126,56 @@ class StateVector:
         return list(map(list, zip(index[order].tolist(), values.real.tolist(), values.imag.tolist())))
 
 
-@dataclass(frozen=True)
 class MarkedOracle:
-    """Truth table of the marking rule over the s and w value sets."""
+    """Truth table of the marking rule over the s and w value sets.
 
-    s_values: tuple[int, ...]
-    w_values: tuple[int, ...]
-    marked: frozenset[tuple[int, int]]
-    descriptor: str
+    ``mask`` is the (n, m) table in (s_values, w_values) order. Built from a
+    relation it is filled by one scatter and the set of marked (s, w) pairs,
+    ``marked``, is made only when read; built from explicit pairs, every pair
+    is checked against the two value sets.
+    """
 
-    def __post_init__(self):
-        pool = set(self.s_values)
-        wpool = set(self.w_values)
-        for s, w in self.marked:
-            if s not in pool or w not in wpool:
-                raise DomainError(f"marked pair ({s}, {w}) outside the S x W support")
+    def __init__(self, s_values, w_values, marked, descriptor: str):
+        s_values, w_values = tuple(s_values), tuple(w_values)
+        mask = np.zeros((len(s_values), len(w_values)), dtype=bool)
+        marked = tuple(marked)
+        if marked:
+            s_index = {s: i for i, s in enumerate(s_values)}
+            w_index = {w: j for j, w in enumerate(w_values)}
+            for s, w in marked:
+                if s not in s_index or w not in w_index:
+                    raise DomainError(f"marked pair ({s}, {w}) outside the S x W support")
+                mask[s_index[s], w_index[w]] = True
+        self._hold(s_values, w_values, mask, descriptor)
+
+    def _hold(self, s_values: tuple, w_values: tuple, mask: np.ndarray, descriptor: str):
+        self.s_values, self.w_values, self.mask, self.descriptor = (
+            s_values, w_values, mask, descriptor
+        )
+        self.marked_count = int(np.count_nonzero(mask))
 
     @classmethod
     def from_relation(cls, s_values, relation) -> "MarkedOracle":
-        return cls(
-            s_values=tuple(s_values),
-            w_values=tuple(relation.candidates),
-            marked=frozenset(relation.pairs()),
-            descriptor=relation.oracle_descriptor,
-        )
+        s_values = tuple(s_values)
+        s_index = dict(zip(s_values, range(len(s_values))))
+        rows = list(map(s_index.get, relation.targets, repeat(-1)))
+        if -1 in rows:
+            for t, i, row in zip(relation.targets, rows, relation.incidence):
+                if i < 0 and row:
+                    w = relation.candidates[row[0]]
+                    raise DomainError(f"marked pair ({t}, {w}) outside the S x W support")
+        target, candidate = relation.marked_pairs
+        mask = np.zeros((len(s_values), len(relation.candidates)), dtype=bool)
+        mask[np.array(rows, dtype=np.intp)[target], candidate] = True
+        oracle = cls.__new__(cls)
+        oracle._hold(s_values, relation.candidates, mask, relation.oracle_descriptor)
+        return oracle
 
     @cached_property
-    def mask(self) -> np.ndarray:
-        """(n, m) truth table in (s_values, w_values) order."""
-        s_index = {s: i for i, s in enumerate(self.s_values)}
-        w_index = {w: j for j, w in enumerate(self.w_values)}
-        grid = np.zeros((len(self.s_values), len(self.w_values)), dtype=bool)
-        for s, w in self.marked:
-            grid[s_index[s], w_index[w]] = True
-        return grid
+    def marked(self) -> frozenset[tuple[int, int]]:
+        rows, cols = np.nonzero(self.mask)
+        return frozenset(zip(map(self.s_values.__getitem__, rows.tolist()),
+                             map(self.w_values.__getitem__, cols.tolist())))
 
     @property
     def support(self) -> int:
@@ -298,7 +315,7 @@ def quantum_count(oracle: MarkedOracle, n_total: int, phase_bits: int) -> CountE
             f"support size {n_total} does not match the oracle's {oracle.support}"
         )
     n_points = oracle.support
-    n_marked = len(oracle.marked)
+    n_marked = oracle.marked_count
     t_dim = 1 << phase_bits
     a = np.empty(t_dim)
     b = np.empty(t_dim)

@@ -10,15 +10,19 @@ keeps for the witness relation built from the same facts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress, islice
+from operator import lt
+
+import numpy as np
 
 from .errors import DomainError
 from .number_theory import (
+    U64_MAX,
     Factorization,
     _check_u64,
     factor_elements,
     is_prime,
     mobius,
-    mobius_of,
     recurrence_orbit,
 )
 
@@ -33,12 +37,21 @@ class Sequence:
     def __post_init__(self):
         if not self.elements:
             raise DomainError("sequence must be non-empty")
-        object.__setattr__(self, "elements", tuple(self.elements))
-        for e in self.elements:
+        elements = tuple(self.elements)
+        object.__setattr__(self, "elements", elements)
+        # one C-level pass per check; the loops below only name the first offender
+        if (
+            set(map(type, elements)) == {int}
+            and all(map(lt, elements, islice(elements, 1, None)))
+            and 1 <= elements[0]
+            and elements[-1] <= U64_MAX
+        ):
+            return
+        for e in elements:
             _check_u64(e, "sequence element")
             if e < 1:
                 raise DomainError(f"sequence element {e} must be >= 1")
-        for a, b in zip(self.elements, self.elements[1:]):
+        for a, b in zip(elements, elements[1:]):
             if b <= a:
                 raise DomainError(f"sequence must be strictly ascending ({a} !< {b})")
 
@@ -65,15 +78,16 @@ class Sequence:
 
 class Question:
     """Base for the supported yes/no questions. Subclasses implement evaluate(),
-    the point answer; the ``factored`` ones also implement read(), the answer
-    from an element's factorization, which build_bitstring uses instead."""
+    the point answer; the ``factored`` ones also implement read(), every
+    element's answer from the sequence's factorization, which build_bitstring
+    uses instead."""
 
     factored = False
 
     def evaluate(self, s: int) -> int:
         raise NotImplementedError
 
-    def read(self, s: int, factors: dict[int, int], rest: int) -> int:
+    def read(self, factored: Factorization) -> list[int]:
         raise NotImplementedError
 
     def describe(self) -> str:
@@ -112,8 +126,11 @@ class IsComposite(Question):
     def evaluate(self, s: int) -> int:
         return 1 if s > 1 and not is_prime(s) else 0
 
-    def read(self, s: int, factors: dict[int, int], rest: int) -> int:
-        return 1 if factors else 0
+    def read(self, factored: Factorization) -> list[int]:
+        # composite iff divisible by a pool prime other than itself
+        bits = np.zeros(len(factored.elements), dtype=np.uint8)
+        bits[factored.hit_element[factored.proper]] = 1
+        return bits.tolist()
 
     def describe(self) -> str:
         return "composite"
@@ -126,16 +143,21 @@ class MobiusPlusOne(Question):
     factored = True
 
     def evaluate(self, s: int) -> int:
-        return self._plus_one(s, mobius(s))
+        m = mobius(s)
+        if m == 0:
+            raise DomainError(self._undefined(s))
+        return 1 if m > 0 else 0
 
-    def read(self, s: int, factors: dict[int, int], rest: int) -> int:
-        return self._plus_one(s, mobius_of(factors, rest))
+    def read(self, factored: Factorization) -> list[int]:
+        s = factored.first_square()
+        if s is not None:
+            raise DomainError(f"element {s}: {self._undefined(s)}")
+        # mu = +1 iff the number of prime factors is even
+        return (1 - factored.omega % 2).tolist()
 
     @staticmethod
-    def _plus_one(s: int, m: int) -> int:
-        if m == 0:
-            raise DomainError(f"mobius({s}) = 0; element outside the question's domain")
-        return 1 if m > 0 else 0
+    def _undefined(s: int) -> str:
+        return f"mobius({s}) = 0; element outside the question's domain"
 
     def describe(self) -> str:
         return "mobius-plus-one"
@@ -188,11 +210,11 @@ class BitString:
     def __post_init__(self):
         if len(self.bits) != len(self.elements):
             raise DomainError("one bit per element required")
-        if any(b not in (0, 1) for b in self.bits):
+        if not {0, 1}.issuperset(self.bits):
             raise DomainError("bits must be 0 or 1")
 
     def text(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return "".join(map(str, self.bits))
 
     def popcount(self) -> int:
         return sum(self.bits)
@@ -203,7 +225,7 @@ class BitString:
         return "\n".join(lines) + "\n"
 
     def satisfying(self) -> "SatisfyingSet":
-        return SatisfyingSet(tuple(e for e, b in zip(self.elements, self.bits) if b))
+        return SatisfyingSet(tuple(compress(self.elements, self.bits)))
 
 
 @dataclass(frozen=True)
@@ -229,14 +251,16 @@ def build_bitstring(seq: Sequence, question: Question) -> BitString:
     A factored question reads every answer off one factorization of the
     sequence, kept on the bitstring; the others answer element by element.
     """
-    factored = factor_elements(seq.elements) if question.factored else None
-    bits = []
-    for i, s in enumerate(seq.elements):
-        try:
-            if factored is None:
-                bits.append(answer(question, s))
-            else:
-                bits.append(question.read(s, *factored.rows[i]))
-        except DomainError as exc:
-            raise DomainError(f"element {s}: {exc}") from exc
+    if question.factored:
+        factored = factor_elements(seq.elements)
+        bits = question.read(factored)
+    else:
+        # the sequence has checked every element, so each is answered directly
+        factored = None
+        bits = []
+        for s in seq.elements:
+            try:
+                bits.append(question.evaluate(s))
+            except DomainError as exc:
+                raise DomainError(f"element {s}: {exc}") from exc
     return BitString(tuple(bits), seq.elements, (seq.label, question.describe()), factored)

@@ -5,14 +5,19 @@ affine-recurrence questions, the divisor oracle for compositeness, the
 prime-quotient oracle for the Möbius question, and the self-pairing oracle.
 Targets with no witness are kept and surfaced, never silently dropped.
 
-The composite and Möbius builders read their rows off the factorization of
-the elements over the primes up to sqrt(max(S)) (``factor_elements``), the
-same one the bitstring was answered from; what is left over is 1 or a prime.
+The composite and Möbius builders take their rows from the hit pairs of one
+divisibility pass over the primes up to sqrt(max(S)) (``factor_elements``),
+the same one the bitstring was answered from, a few array operations per
+builder rather than a Python step per pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import lt, not_
+
+import numpy as np
 
 from .errors import DomainError
 from .number_theory import Factorization
@@ -26,6 +31,8 @@ class WitnessRelation:
     ``incidence[i]`` lists, ascending, the indices into ``candidates`` of the
     witnesses of ``targets[i]``. ``full_pool`` keeps the unpruned candidate
     pool when construction narrowed it (audit trail for the Möbius builder).
+    Checking the rows leaves ``marked_pairs``: the (target index, candidate
+    index) arrays of every marked pair, row by row.
     """
 
     targets: tuple[int, ...]
@@ -37,14 +44,37 @@ class WitnessRelation:
     def __post_init__(self):
         if len(self.incidence) != len(self.targets):
             raise DomainError("one incidence row per target required")
-        if len(set(self.candidates)) != len(self.candidates):
+        candidates = self.candidates
+        # an ascending pool (every builder's) is duplicate-free without a set
+        if not all(map(lt, candidates, islice(candidates, 1, None))) and (
+            len(set(candidates)) != len(candidates)
+        ):
             raise DomainError("candidate pool must be duplicate-free")
+        m = len(candidates)
+        try:
+            candidate = np.fromiter(chain.from_iterable(self.incidence), np.intp)
+        except (TypeError, ValueError, OverflowError):
+            candidate = None  # an index that is no machine integer
+        if candidate is not None:
+            lengths = np.fromiter(map(len, self.incidence), np.intp, len(self.incidence))
+            target = np.repeat(np.arange(len(lengths)), lengths)
+            # with every index in range, target * m + candidate ascends over
+            # the pairs of all rows iff each row ascends
+            keys = target * m + candidate
+            if not candidate.size or (
+                candidate.min() >= 0 and candidate.max() < m and (keys[1:] > keys[:-1]).all()
+            ):
+                # (target index, candidate index) of every marked pair, row by row
+                object.__setattr__(self, "marked_pairs", (target, candidate))
+                return
+        # name the first offending row
         for row in self.incidence:
             if list(row) != sorted(set(row)):
                 raise DomainError("incidence rows must be ascending and duplicate-free")
             for j in row:
-                if not 0 <= j < len(self.candidates):
+                if not 0 <= j < m:
                     raise DomainError(f"incidence index {j} out of range")
+        raise DomainError("incidence indices must be integers")
 
     def witnesses_of(self, s: int) -> tuple[int, ...]:
         """Witness values of target s."""
@@ -63,12 +93,11 @@ class WitnessRelation:
         )
 
     def restrict_targets(self, keep) -> "WitnessRelation":
-        keep = set(keep)
-        rows = [(t, row) for t, row in zip(self.targets, self.incidence) if t in keep]
+        kept = list(map(set(keep).__contains__, self.targets))
         return replace(
             self,
-            targets=tuple(t for t, _ in rows),
-            incidence=tuple(row for _, row in rows),
+            targets=tuple(compress(self.targets, kept)),
+            incidence=tuple(compress(self.incidence, kept)),
         )
 
     def to_json_dict(self) -> dict:
@@ -102,9 +131,15 @@ def relation_recurrence(seq: Sequence, p: int, q: int) -> WitnessRelation:
     return WitnessRelation(
         targets=targets,
         candidates=(q,),
-        incidence=tuple((0,) for _ in targets),
+        incidence=((0,),) * len(targets),
         oracle_descriptor=f"s mod {p} == w",
     )
+
+
+def _rows(flat: tuple[int, ...], counts) -> tuple[tuple[int, ...], ...]:
+    """``flat`` cut into consecutive rows of the given lengths."""
+    ends = list(accumulate(counts))
+    return tuple(map(flat.__getitem__, map(slice, chain((0,), ends), ends)))
 
 
 def relation_composite(factored: Factorization) -> WitnessRelation:
@@ -114,20 +149,12 @@ def relation_composite(factored: Factorization) -> WitnessRelation:
     itself, so primes and 1 get empty rows and are not targets, while every
     composite has its smallest prime factor, at most sqrt(max), as a witness.
     """
-    candidates = tuple(factored.primes)
-    index = {w: j for j, w in enumerate(candidates)}
-    targets = []
-    incidence = []
-    for s, (factors, rest) in zip(factored.elements, factored.rows):
-        # the cofactor is 1 or a prime above the factors; it witnesses only from the pool
-        row = [index[p] for p in (*factors, rest) if p != s and p in index]
-        if row:
-            targets.append(s)
-            incidence.append(tuple(row))
+    proper = factored.proper
+    counts = np.bincount(factored.hit_element[proper], minlength=len(factored.elements))
     return WitnessRelation(
-        targets=tuple(targets),
-        candidates=candidates,
-        incidence=tuple(incidence),
+        targets=tuple(compress(factored.elements, counts.tolist())),
+        candidates=tuple(factored.primes.tolist()),
+        incidence=_rows(tuple(factored.hit_prime[proper].tolist()), counts[counts > 0].tolist()),
         oracle_descriptor="w divides s and s != w",
     )
 
@@ -142,27 +169,34 @@ def relation_mobius(factored: Factorization) -> WitnessRelation:
     ``full_pool``. Elements like 1 end up with no witness and are reported,
     not rejected.
     """
-    elements = factored.elements
-    primes_of: dict[int, tuple[int, ...]] = {}
-    for s, (factors, rest) in zip(elements, factored.rows):
-        if any(e > 1 for e in factors.values()):
-            raise DomainError(f"element {s} is not squarefree")
-        primes_of[s] = (*factors, rest) if rest > 1 else tuple(factors)
+    elements, values = factored.elements, factored.values
+    s = factored.first_square()
+    if s is not None:
+        raise DomainError(f"element {s} is not squarefree")
     # mu(s) = (-1)^(number of prime factors), so odd counts form the mu = -1 pool
-    full_pool = tuple(t for t in elements if len(primes_of[t]) % 2)
-    targets = tuple(s for s in elements if not len(primes_of[s]) % 2)
-    in_pool = set(full_pool)
-    rows_by_value = {
-        s: sorted(s // p for p in primes_of[s] if s // p in in_pool) for s in targets
-    }
-    used = sorted({t for row in rows_by_value.values() for t in row})
-    index = {t: j for j, t in enumerate(used)}
+    odd = (factored.omega & 1).astype(bool)
+    target = ~odd
+    # the prime factors of each target: its hit primes, then a cofactor above 1
+    hits = target[factored.hit_element]
+    big = target & (factored.cofactor > 1)
+    owner = np.concatenate((factored.hit_element[hits], np.flatnonzero(big)))
+    prime = np.concatenate((factored.hit_value[hits], factored.cofactor[big]))
+    # s/p has one prime factor fewer than s, so it is in the pool iff it is in S
+    quotient = values[owner] // prime
+    at = np.searchsorted(values, quotient).clip(max=len(values) - 1)
+    found = values[at] == quotient
+    owner, witness = owner[found], at[found]
+    order = np.lexsort((witness, owner))
+    used = np.zeros(len(elements), dtype=bool)
+    used[witness] = True
+    column = np.cumsum(used) - 1
+    counts = np.bincount(owner, minlength=len(elements))[target]
     return WitnessRelation(
-        targets=targets,
-        candidates=tuple(used),
-        incidence=tuple(tuple(index[t] for t in rows_by_value[s]) for s in targets),
+        targets=tuple(compress(elements, target.tolist())),
+        candidates=tuple(compress(elements, used.tolist())),
+        incidence=_rows(tuple(column[witness[order]].tolist()), counts.tolist()),
         oracle_descriptor="w divides s and s/w is prime",
-        full_pool=full_pool,
+        full_pool=tuple(compress(elements, odd.tolist())),
     )
 
 
@@ -172,22 +206,16 @@ def relation_identity(satisfying: SatisfyingSet) -> WitnessRelation:
     return WitnessRelation(
         targets=elems,
         candidates=elems,
-        incidence=tuple((i,) for i in range(len(elems))),
+        incidence=tuple(zip(range(len(elems)))),
         oracle_descriptor="s == w",
     )
 
 
 def coverage_check(rel: WitnessRelation) -> CoverageReport:
     """Enumerate uncovered targets, multiply witnessed targets, shared witnesses."""
-    uncovered = tuple(t for t, row in zip(rel.targets, rel.incidence) if not row)
-    multiply = tuple(
-        (t, len(row)) for t, row in zip(rel.targets, rel.incidence) if len(row) > 1
-    )
-    counts: dict[int, int] = {}
-    for row in rel.incidence:
-        for j in row:
-            counts[j] = counts.get(j, 0) + 1
-    shared = tuple(
-        (rel.candidates[j], c) for j, c in sorted(counts.items()) if c > 1
-    )
+    lengths = list(map(len, rel.incidence))
+    uncovered = tuple(compress(rel.targets, map(not_, lengths)))
+    multiply = tuple(compress(zip(rel.targets, lengths), map(lt, repeat(1), lengths)))
+    counts = np.bincount(rel.marked_pairs[1], minlength=len(rel.candidates)).tolist()
+    shared = tuple(compress(zip(rel.candidates, counts), map(lt, repeat(1), counts)))
     return CoverageReport(uncovered, multiply, shared)

@@ -11,7 +11,6 @@ from qwitness.number_theory import (
     factorize,
     is_prime,
     mobius,
-    mobius_of,
     mobius_sieve,
     primes_upto,
     recurrence_orbit,
@@ -152,16 +151,33 @@ class TestPrimesUpto:
 class TestFactorElements:
     def test_rows_factor_over_the_root_pool(self):
         factored = factor_elements([1, 6, 9, 35, 97, 1000036000099])
-        assert factored.primes == primes_upto(1000017)
-        assert factored.rows == (
-            ({}, 1), ({2: 1}, 3), ({3: 2}, 1), ({5: 1}, 7), ({}, 97),
-            ({1000003: 1}, 1000033),
-        )
+        assert factored.primes.tolist() == primes_upto(1000017)
+        hits = list(zip(factored.hit_element.tolist(),
+                        factored.primes[factored.hit_prime].tolist()))
+        assert hits == [(1, 2), (1, 3), (2, 3), (3, 5), (3, 7), (4, 97), (5, 1000003)]
+        assert factored.proper.tolist() == [True, True, True, True, True, False, True]
+        assert factored.square.tolist() == [False, False, True, False, False, False]
+        squarefree = ~factored.square
+        assert factored.cofactor[squarefree].tolist() == [1, 1, 1, 1, 1000033]
+        assert factored.omega[squarefree].tolist() == [0, 2, 2, 1, 2]
 
     @given(st.integers(min_value=1, max_value=10**6))
     @settings(max_examples=100)
     def test_mobius_of_a_row_is_mobius(self, k):
-        assert mobius_of(*factor_elements([k]).rows[0]) == mobius(k)
+        factored = factor_elements([k])
+        mu = 0 if factored.square[0] else (-1) ** int(factored.omega[0])
+        assert mu == mobius(k)
+        assert factored.proper.any() == (k > 1 and not is_prime(k))
+
+    def test_blocks_split_a_pool_wider_than_a_block(self):
+        # sqrt(max) of about 1.6e7 gives a pool of over 10^6 primes: each
+        # element is tested in more than one block, and the hits stay in order
+        elements = [6, 35, 3 * 16777213, 16777213 * 16777259]
+        factored = factor_elements(elements)
+        assert len(factored.primes) > 1 << 20
+        hits = list(zip(factored.hit_element.tolist(),
+                        factored.primes[factored.hit_prime].tolist()))
+        assert hits == [(0, 2), (0, 3), (1, 5), (1, 7), (2, 3), (2, 16777213), (3, 16777213)]
 
 
 class TestRecurrenceOrbit:

@@ -282,32 +282,30 @@ class TestComputeOnce:
         self, monkeypatch, seq, question
     ):
         calls = self.counted(monkeypatch, self.number_theory(
-            "is_prime", "mobius", "mobius_sieve", "primes_upto", "trial_divide"
+            "is_prime", "mobius", "mobius_sieve", "_eratosthenes", "factor_elements"
         ))
         analyze(seq, question)
         assert calls == {
             "is_prime": 0, "mobius": 0, "mobius_sieve": 0,
-            "primes_upto": 1, "trial_divide": len(seq),
+            "_eratosthenes": 1, "factor_elements": 1,
         }
 
     @pytest.mark.parametrize("command", ["analyze", "witness", "simulate"])
     @pytest.mark.parametrize(
-        "argv, size",
+        "argv",
         [
-            (["--squarefree", "25", "--question", "mobius-plus-one"], 25),
-            (["--range", "2", "100", "--question", "composite"], 99),
+            ["--squarefree", "25", "--question", "mobius-plus-one"],
+            ["--range", "2", "100", "--question", "composite"],
         ],
         ids=["sf25-mobius", "composite-2-100"],
     )
-    def test_every_view_factors_each_element_once(
-        self, monkeypatch, tmp_path, command, argv, size
-    ):
+    def test_every_view_factors_each_element_once(self, monkeypatch, tmp_path, command, argv):
         # the CLI builds the squarefree support itself, so mobius_sieve is not counted
         calls = self.counted(monkeypatch, self.number_theory(
-            "is_prime", "mobius", "primes_upto", "trial_divide"
+            "is_prime", "mobius", "_eratosthenes", "factor_elements"
         ))
         assert main([command, *argv, "--out", str(tmp_path / "out.json")]) == 0
-        assert calls == {"is_prime": 0, "mobius": 0, "primes_upto": 1, "trial_divide": size}
+        assert calls == {"is_prime": 0, "mobius": 0, "_eratosthenes": 1, "factor_elements": 1}
 
     @pytest.mark.parametrize(
         "seq, question",
@@ -316,10 +314,10 @@ class TestComputeOnce:
     )
     def test_one_schmidt_split_per_classification(self, monkeypatch, seq, question):
         module = sys.modules["qwitness.classify"]  # the package binds the name to the function
-        calls = self.counted(monkeypatch, ((module, "classify"), (module, "schmidt")))
+        calls = self.counted(monkeypatch, ((module, "classify"), (module, "_schmidt_split")))
         analyze(seq, question)
         assert calls["classify"] >= 2
-        assert calls["schmidt"] == calls["classify"], calls
+        assert calls["_schmidt_split"] == calls["classify"], calls
 
     @pytest.mark.parametrize(
         "seq, question",

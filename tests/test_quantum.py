@@ -23,7 +23,7 @@ from qwitness.quantum import (
     quantum_count,
 )
 from qwitness.sequences import SatisfyingSet, Sequence
-from qwitness.witnesses import relation_composite, relation_identity
+from qwitness.witnesses import relation_composite, relation_identity, relation_mobius
 
 
 def synthetic_oracle(n, m_marked, w=1):
@@ -275,6 +275,26 @@ class TestCounting:
         rel = relation_composite(factor_elements(Sequence.from_range(2, 30)))
         oracle = MarkedOracle.from_relation(range(2, 31), rel)
         assert len(oracle.marked) == len(rel.pairs())
+
+    def test_scattered_mask_is_the_pair_table(self):
+        rel = relation_composite(factor_elements(Sequence.from_range(2, 30)))
+        s_values = tuple(range(30, 1, -1))  # any order of the s register
+        oracle = MarkedOracle.from_relation(s_values, rel)
+        by_pairs = MarkedOracle(s_values, rel.candidates, rel.pairs(), "pairs")
+        assert (oracle.mask == by_pairs.mask).all()
+        assert oracle.marked == by_pairs.marked == frozenset(rel.pairs())
+        assert oracle.marked_count == len(rel.pairs())
+
+    def test_targets_outside_the_register_are_refused(self):
+        rel = relation_composite(factor_elements(Sequence.from_values([5, 6, 9])))
+        with pytest.raises(DomainError, match=r"marked pair \(9, 3\) outside the S x W support"):
+            MarkedOracle.from_relation([5, 6], rel)
+        with pytest.raises(DomainError, match=r"marked pair \(9, 3\) outside the S x W support"):
+            MarkedOracle([5, 6], rel.candidates, rel.pairs(), "pairs")
+        # a target without witnesses marks nothing, so it may be absent
+        rel = relation_mobius(factor_elements(Sequence.from_values([1, 2, 3, 6])))
+        assert rel.witnesses_of(1) == ()
+        assert MarkedOracle.from_relation([2, 3, 6], rel).marked == {(6, 2), (6, 3)}
 
 
 class TestPostSelect:

@@ -47,6 +47,26 @@ class TestSequence:
         assert s.elements == (2, 3, 4, 5)
         assert s.max == 5
 
+    @pytest.mark.parametrize("elements, message", [
+        ((5, 3, -1), "sequence element must be in [0, 2^64), got -1"),
+        ((5, 3, 0), "sequence element 0 must be >= 1"),
+        ((4, 2**64), "sequence element must be in [0, 2^64), got 18446744073709551616"),
+        ((1, True), "sequence element must be an integer, got True"),
+        ((1, "2"), "sequence element must be an integer, got '2'"),
+        ((1, 3, 2, 2), "sequence must be strictly ascending (3 !< 2)"),
+    ])
+    def test_checks_name_the_first_offender(self, elements, message):
+        # element checks run over all elements before the ascent check
+        with pytest.raises(DomainError) as exc:
+            Sequence(elements)
+        assert str(exc.value) == message
+
+    def test_int_subclasses_are_elements(self):
+        class Tagged(int):
+            pass
+
+        assert Sequence((Tagged(1), 2, 2**64 - 1)).elements == (1, 2, 2**64 - 1)
+
 
 class TestQuestionInvariants:
     def test_recurrence_parameter_bounds(self):

@@ -1,5 +1,7 @@
 import json
+from functools import cache
 from math import isqrt
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -9,12 +11,20 @@ import reference_relations as reference
 from qwitness.errors import DomainError
 from qwitness.number_theory import (
     factor_elements,
+    is_prime,
     mobius,
+    mobius_sieve,
     primes_upto,
     recurrence_orbit,
     squarefree_support,
 )
-from qwitness.sequences import SatisfyingSet, Sequence
+from qwitness.sequences import (
+    IsComposite,
+    MobiusPlusOne,
+    SatisfyingSet,
+    Sequence,
+    build_bitstring,
+)
 from qwitness.witnesses import (
     WitnessRelation,
     coverage_check,
@@ -51,6 +61,82 @@ def factor_rich_lists(draw, squarefree=False):
         values = {v for v in values if mobius(v) != 0}
     values.add(draw(st.sampled_from(primes_upto(isqrt(max(values))) or [2])))
     return Sequence.from_values(sorted(values))
+
+
+# primes just past the 10^5 trial-division pool of the point routes; a
+# semiprime 2q, 3q or 5q keeps such a q as its cofactor
+PAST_POOL_PRIMES = [p for p in primes_upto(101_000) if p > 100_000]
+WIDE_MAX = 5 * PAST_POOL_PRIMES[-1]
+
+
+@cache
+def _mu_upto_wide_max():
+    return mobius_sieve(WIDE_MAX)
+
+
+def _mu_prefix(limit):
+    """mobius_sieve(limit), sliced from one sieve up to WIDE_MAX."""
+    return _mu_upto_wide_max()[: limit + 1]
+
+
+@st.composite
+def wide_lists(draw):
+    """Ascending lists holding 1, primes at or below sqrt(max), semiprimes whose
+    larger factor is past 10^5, prime squares in about half of them (the rest
+    are squarefree), and in about one in eight a value above 2^63."""
+    squarefree = draw(st.booleans())
+    values = {1, *draw(st.sets(st.integers(2, 3000), max_size=20))}
+    values |= {p * q for p, q in draw(st.lists(
+        st.tuples(st.sampled_from([2, 3, 5]), st.sampled_from(PAST_POOL_PRIMES)),
+        min_size=1, max_size=4,
+    ))}
+    if squarefree:
+        values = {v for v in values if mobius(v) != 0}
+    else:
+        values |= {p * p for p in draw(st.lists(st.sampled_from(SMALL_PRIMES), min_size=1,
+                                                max_size=3))}
+    values |= set(draw(st.lists(st.sampled_from(primes_upto(isqrt(max(values)))), min_size=1,
+                                max_size=4)))
+    if draw(st.integers(1, 8)) == 5:
+        values.add(draw(st.integers(2**63, 2**64 - 1)))
+    return Sequence.from_values(sorted(values))
+
+
+class TestOnePassFactorization:
+    """The divisibility pass against the scan builders and the point routes."""
+
+    @given(wide_lists())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_the_scan_builders_and_the_point_routes(self, seq):
+        if seq.max >= 2**63:
+            # sqrt(max) lies past the sieve guard, so both factored questions
+            # refuse the list before the sieve is allocated
+            for question in (IsComposite(), MobiusPlusOne()):
+                with pytest.raises(DomainError, match="exceeds the 200000000 guard"):
+                    build_bitstring(seq, question)
+            return
+        factored = factor_elements(seq)
+        composite = build_bitstring(seq, IsComposite())
+        assert composite.bits == tuple(int(s > 1 and not is_prime(s)) for s in seq)
+        assert relation_composite(factored) == reference.relation_composite(seq)
+        bad = [s for s in seq if mobius(s) == 0]
+        with mock.patch.object(reference, "mobius_sieve", _mu_prefix):
+            if bad:
+                with pytest.raises(DomainError) as bits_error:
+                    build_bitstring(seq, MobiusPlusOne())
+                assert str(bits_error.value) == (
+                    f"element {bad[0]}: mobius({bad[0]}) = 0; "
+                    "element outside the question's domain"
+                )
+                with pytest.raises(DomainError) as new:
+                    relation_mobius(factored)
+                with pytest.raises(DomainError) as old:
+                    reference.relation_mobius(seq)
+                assert str(new.value) == str(old.value) == f"element {bad[0]} is not squarefree"
+            else:
+                plus_one = build_bitstring(seq, MobiusPlusOne())
+                assert plus_one.bits == tuple(int(mobius(s) == 1) for s in seq)
+                assert relation_mobius(factored) == reference.relation_mobius(seq)
 
 
 class TestRecurrenceRelation:
@@ -240,3 +326,31 @@ class TestRelationMechanics:
             WitnessRelation((4,), (2,), ((1,),), "bad index")
         with pytest.raises(DomainError):
             WitnessRelation((4,), (2, 3), ((1, 0),), "unsorted row")
+
+    def test_unordered_pools_are_checked_for_duplicates(self):
+        assert WitnessRelation((4,), (3, 2), ((1,),), "unordered").candidates == (3, 2)
+        with pytest.raises(DomainError, match="duplicate-free"):
+            WitnessRelation((4,), (3, 2, 3), ((1,),), "repeated")
+
+    @given(st.integers(0, 4).flatmap(lambda m: st.tuples(
+        st.just(m), st.lists(st.lists(st.integers(-1, m), max_size=4).map(tuple), max_size=5)
+    )))
+    @settings(max_examples=300)
+    def test_rows_are_checked_row_by_row(self, case):
+        m, rows = case
+        expected = None
+        for row in rows:
+            if list(row) != sorted(set(row)):
+                expected = "incidence rows must be ascending and duplicate-free"
+                break
+            outside = [j for j in row if not 0 <= j < m]
+            if outside:
+                expected = f"incidence index {outside[0]} out of range"
+                break
+        targets = tuple(range(100, 100 + len(rows)))
+        if expected is None:
+            assert WitnessRelation(targets, tuple(range(m)), tuple(rows), "random").incidence == tuple(rows)
+        else:
+            with pytest.raises(DomainError) as exc:
+                WitnessRelation(targets, tuple(range(m)), tuple(rows), "random")
+            assert str(exc.value) == expected
