@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import ceil
 
+import numpy as np
+
 from .errors import DomainError
 from .witnesses import WitnessRelation
 
@@ -75,11 +77,20 @@ class Minimization:
 
 
 def _masks(rel: WitnessRelation) -> tuple[int, list[int]]:
-    """Per-candidate bitmask of covered target indices, plus the full mask."""
+    """Per-candidate bitmask of covered target indices, plus the full mask.
+
+    The marked pairs scatter into a (candidate, target) grid whose rows pack,
+    least significant bit first, into the bytes of each candidate's mask. Only
+    the rows of candidates in some pair are decoded; the rest stay 0.
+    """
+    target, candidate = rel.marked_pairs
+    grid = np.zeros((len(rel.candidates), len(rel.targets)), dtype=bool)
+    grid[candidate, target] = True
+    rows = np.packbits(grid, axis=1, bitorder="little")
+    data, width = rows.tobytes(), rows.shape[1]
     masks = [0] * len(rel.candidates)
-    for i, row in enumerate(rel.incidence):
-        for j in row:
-            masks[j] |= 1 << i
+    for j in np.flatnonzero(np.bincount(candidate, minlength=len(masks))).tolist():
+        masks[j] = int.from_bytes(data[j * width : j * width + width], "little")
     return (1 << len(rel.targets)) - 1, masks
 
 
@@ -125,6 +136,9 @@ def _least_cover(full: int, masks: list[int], limit: int, disjoint: bool) -> lis
     With ``disjoint`` a candidate joins only if it misses every target already
     covered, so only exact covers are found. None when no cover fits.
     """
+    # a candidate covering no target is never included: search without them
+    live = [j for j, mask in enumerate(masks) if mask]
+    masks = [masks[j] for j in live]
     n = len(masks)
     suffix_union = [0] * (n + 1)
     for j in range(n - 1, -1, -1):
@@ -149,7 +163,7 @@ def _least_cover(full: int, masks: list[int], limit: int, disjoint: bool) -> lis
         gain = masks[j] & remaining
         if gain and (gain == masks[j] or not disjoint):
             stack.append((j + 1, covered | gain, chosen + (j,)))
-    return best
+    return None if best is None else [live[k] for k in best]
 
 
 def min_set_cover(
@@ -258,40 +272,53 @@ def _simulate_discard(rel: WitnessRelation) -> tuple[bool, str]:
     """Replay the discard rule: drop redundant witnesses until single coverage.
 
     Only witnesses whose removal strands nobody are discarded (smallest first,
-    scanning targets ascending). Returns (reached single coverage, narrative).
+    scanning targets in order). Returns (reached single coverage, narrative).
 
     One forward pass suffices: a witness that strands a target keeps stranding
     it, and a singly covered target stays so, so no skipped (target, witness)
-    pair ever becomes discardable later.
+    pair ever becomes discardable later. Each witness counts the targets it
+    alone still holds, so the pass is linear in the marked pairs.
     """
-    active: dict[int, set[int]] = {
-        t: set(rel.candidates[j] for j in row)
-        for t, row in zip(rel.targets, rel.incidence)
-    }
-    holders: dict[int, set[int]] = {}  # witness -> targets still holding it
-    for t, ws in active.items():
-        for w in ws:
-            holders.setdefault(w, set()).add(t)
+    # witnesses by rank in ascending value order, so sorting ranks sorts values
+    values = sorted(rel.candidates)
+    rank = [0] * len(values)
+    for r, j in enumerate(sorted(range(len(values)), key=rel.candidates.__getitem__)):
+        rank[j] = r
+    active = [{rank[j] for j in row} for row in rel.incidence]  # per target index
+    holders: list[set[int]] = [set() for _ in values]  # per rank: targets holding it
+    strands = [0] * len(values)  # per rank: targets it alone still holds
+    for i, ws in enumerate(active):
+        for r in ws:
+            holders[r].add(i)
+        if len(ws) == 1:
+            strands[min(ws)] += 1
     discarded: list[int] = []
-    for t in rel.targets:
-        for w in sorted(active[t]):
-            if any(len(active[u]) == 1 for u in holders[w]):
+    for ws in active:
+        for r in sorted(ws):
+            if strands[r]:
                 continue
-            for u in holders.pop(w):
-                active[u].discard(w)
-            discarded.append(w)
-    multi = [t for t in rel.targets if len(active[t]) > 1]
+            for i in holders[r]:
+                held = active[i]
+                held.discard(r)
+                if len(held) == 1:
+                    strands[min(held)] += 1
+            holders[r] = set()
+            discarded.append(values[r])
+    multi = [i for i, ws in enumerate(active) if len(ws) > 1]
     if not multi:
+        kept = [w for w, held in zip(values, holders) if held]
         chain = f"discarded {discarded}" if discarded else "nothing to discard"
-        return True, f"{chain}; single coverage reached with witnesses {sorted(holders)}"
-    t = multi[0]
+        return True, f"{chain}; single coverage reached with witnesses {kept}"
+    i = multi[0]
     blockers = "; ".join(
-        f"discarding {w} strands {sorted(u for u in holders[w] if len(active[u]) == 1)}"
-        for w in sorted(active[t])
+        f"discarding {values[r]} strands "
+        f"{sorted(rel.targets[u] for u in holders[r] if len(active[u]) == 1)}"
+        for r in sorted(active[i])
     )
     prefix = f"after discarding {discarded}, " if discarded else ""
     return False, (
-        f"{prefix}target {t} still holds witnesses {sorted(active[t])}: {blockers}"
+        f"{prefix}target {rel.targets[i]} still holds witnesses "
+        f"{[values[r] for r in sorted(active[i])]}: {blockers}"
     )
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import compress
 from math import isqrt
 
 import numpy as np
@@ -39,6 +40,13 @@ def _check_u64(value: int, name: str = "value") -> int:
     if value < 0 or value > U64_MAX:
         raise DomainError(f"{name} must be in [0, 2^64), got {value}")
     return value
+
+
+def _sieve_bound(x: int, name: str) -> int:
+    _check_u64(x, name)
+    if x > _SIEVE_LIMIT:
+        raise DomainError(f"sieve bound {x} exceeds the {_SIEVE_LIMIT} guard")
+    return x
 
 
 def is_prime(k: int) -> bool:
@@ -229,9 +237,7 @@ def mobius_sieve(limit: int) -> list[int]:
     The sieve route exists to cross-validate the factorization route and to
     make range scans cheap.
     """
-    _check_u64(limit, "limit")
-    if limit > _SIEVE_LIMIT:
-        raise DomainError(f"sieve bound {limit} exceeds the {_SIEVE_LIMIT} guard")
+    _sieve_bound(limit, "limit")
     mu = [0] * (limit + 1)
     if limit >= 1:
         mu[1] = 1
@@ -254,9 +260,7 @@ def mobius_sieve(limit: int) -> list[int]:
 
 
 def _eratosthenes(x: int) -> bytearray:
-    _check_u64(x, "x")
-    if x > _SIEVE_LIMIT:
-        raise DomainError(f"sieve bound {x} exceeds the {_SIEVE_LIMIT} guard")
+    _sieve_bound(x, "x")
     flags = bytearray([1]) * (x + 1)
     for i in range(min(x, 1) + 1):
         flags[i] = 0
@@ -306,15 +310,26 @@ def recurrence_orbit(p: int, q: int, bound: int) -> list[int]:
 
 
 def squarefree_support(n: int) -> list[int]:
-    """The first n integers k >= 1 with mobius(k) != 0, ascending."""
+    """The first n integers k >= 1 with mobius(k) != 0, ascending.
+
+    Clears the multiples of every prime square from a flag array;
+    ``mobius_sieve`` is the route that cross-checks it.
+    """
     _check_u64(n, "n")
     if n < 1:
         raise DomainError("support size must be >= 1")
     # Squarefree density is ~0.61, so 2n overshoots; grow if it ever does not.
     limit = max(16, 2 * n)
     while True:
-        mu = mobius_sieve(limit)
-        out = [k for k in range(1, limit + 1) if mu[k] != 0]
+        flags = bytearray([1]) * (_sieve_bound(limit, "limit") + 1)
+        flags[0] = 0
+        for p in range(2, isqrt(limit) + 1):
+            square = p * p
+            # still flagged iff p is prime: a smaller prime square divides
+            # the square of any other p
+            if flags[square]:
+                flags[square::square] = bytearray(len(range(square, limit + 1, square)))
+        out = list(compress(range(limit + 1), flags))
         if len(out) >= n:
             return out[:n]
         limit *= 2

@@ -402,8 +402,25 @@ def test_discard_replay_matches_reference(seed):
     assert _simulate_discard(rel) == reference_discard(rel)
 
 
+@given(st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=100, deadline=None)
+def test_discard_replay_matches_reference_on_dense_relations(seed):
+    # up to 40 x 40 at a random density, over a shuffled pool: targets fall to
+    # one witness all through the pass, and witness ranks differ from positions
+    rng = random.Random(seed)
+    targets = tuple(range(1, rng.randint(1, 40) + 1))
+    candidates = tuple(rng.sample(range(101, 201), rng.randint(1, 40)))
+    density = rng.random()
+    rows = {
+        t: [w for w in candidates if rng.random() < density] or [rng.choice(candidates)]
+        for t in targets
+    }
+    rel = make_relation(targets, candidates, rows)
+    assert _simulate_discard(rel) == reference_discard(rel)
+
+
 def test_discard_replay_matches_reference_on_mobius_supports():
-    for n in (13, 25, 60):
+    for n in (13, 25, 60, 300, 700):
         rel = relation_mobius(factor_elements(squarefree_support(n)))
         covered = rel.restrict_targets(
             t for t, row in zip(rel.targets, rel.incidence) if row

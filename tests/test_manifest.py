@@ -5,10 +5,13 @@ Each entry holds one CLI argv, its exit code and the sha256 of what it wrote to
 stdout and to stderr. The argvs are the distinct default-seed inputs of the
 benchmark workloads under ``analyze`` and ``witness``, the list inputs under
 ``simulate`` as well, the cover reproducers with a high ``--exact-threshold``,
-``simulate`` on composite [2, 300], and the out-of-range ``--phase-bits``
-values 0, 21 and 40 (exit 2). A change that is meant to leave
-reports unchanged keeps every entry. To re-record the hashes of the listed
-argvs after an intended report change, run
+``simulate`` on composite [2, 300], the out-of-range ``--phase-bits``
+values 0, 21 and 40 (exit 2), and four short ``--list`` edge cases: a
+composite whose sqrt(max) is past the sieve guard (exit 2), a semiprime with
+both factors past 10^5, a prime near 10^15 (sqrt(max) about 3.2 * 10^7), and
+a composite list whose wide pool leaves most candidates covering no target.
+A change that is meant to leave reports unchanged keeps every entry. To
+re-record the hashes of the listed argvs after an intended report change, run
 ``PYTHONPATH=src python tests/test_manifest.py`` and list every changed entry.
 """
 

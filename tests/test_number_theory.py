@@ -239,6 +239,27 @@ class TestSquarefreeSupport:
         skipped = set(range(1, out[-1] + 1)) - set(out)
         assert all(mobius(k) == 0 for k in skipped)
 
+    def test_matches_the_mobius_sieve_route(self):
+        mu = mobius_sieve(4000)
+        route = [k for k in range(1, 4001) if mu[k]]
+        assert len(route) > 2000
+        for n in range(1, 2001):
+            assert squarefree_support(n) == route[:n]
+
+    @pytest.mark.parametrize(
+        "n, message",
+        [
+            (10**8 + 1, "sieve bound 200000002 exceeds the 200000000 guard"),
+            (2**63 + 5, "limit must be in [0, 2^64), got 18446744073709551626"),
+            (2**64, "n must be in [0, 2^64), got 18446744073709551616"),
+            (0, "support size must be >= 1"),
+        ],
+    )
+    def test_guard_texts(self, n, message):
+        with pytest.raises(DomainError) as info:
+            squarefree_support(n)
+        assert str(info.value) == message
+
 
 def test_smallest_prime_factor_bounded_by_sqrt():
     # guarantees every composite in a divisor relation has a small witness

@@ -300,12 +300,14 @@ class TestComputeOnce:
         ids=["sf25-mobius", "composite-2-100"],
     )
     def test_every_view_factors_each_element_once(self, monkeypatch, tmp_path, command, argv):
-        # the CLI builds the squarefree support itself, so mobius_sieve is not counted
         calls = self.counted(monkeypatch, self.number_theory(
-            "is_prime", "mobius", "_eratosthenes", "factor_elements"
+            "is_prime", "mobius", "mobius_sieve", "_eratosthenes", "factor_elements"
         ))
         assert main([command, *argv, "--out", str(tmp_path / "out.json")]) == 0
-        assert calls == {"is_prime": 0, "mobius": 0, "_eratosthenes": 1, "factor_elements": 1}
+        assert calls == {
+            "is_prime": 0, "mobius": 0, "mobius_sieve": 0,
+            "_eratosthenes": 1, "factor_elements": 1,
+        }
 
     @pytest.mark.parametrize(
         "seq, question",
