@@ -56,18 +56,22 @@ def _flag_matrix(state: StateVector) -> np.ndarray:
     return grid[:, :, 1] if mass[1] > mass[0] else grid[:, :, 0]
 
 
+def _support(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows and columns of a flag matrix that carry any weight."""
+    magnitudes = np.abs(matrix)
+    return np.flatnonzero(magnitudes.sum(axis=1) > 0), np.flatnonzero(magnitudes.sum(axis=0) > 0)
+
+
 def schmidt(state: StateVector) -> SchmidtSpectrum:
     """Singular values across the s|w cut, descending; squared sum is 1."""
     matrix = _flag_matrix(state)
-    return _schmidt_split(matrix, np.abs(matrix))
+    return _schmidt_split(matrix[np.ix_(*_support(matrix))])
 
 
-def _schmidt_split(matrix: np.ndarray, magnitudes: np.ndarray) -> SchmidtSpectrum:
-    """The spectrum of a flag matrix, given its elementwise magnitudes."""
-    # zero rows/columns do not move singular values; trim for cheap SVDs
-    rows = np.flatnonzero(magnitudes.sum(axis=1) > 0)
-    cols = np.flatnonzero(magnitudes.sum(axis=0) > 0)
-    sv = np.linalg.svd(matrix[np.ix_(rows, cols)], compute_uv=False)
+def _schmidt_split(trimmed: np.ndarray) -> SchmidtSpectrum:
+    """The spectrum of a flag matrix trimmed to its weighted rows and columns
+    (zero rows and columns do not move singular values)."""
+    sv = np.linalg.svd(trimmed, compute_uv=False)
     sv = np.clip(sv, 0.0, None)
     total = float(np.sum(sv**2))
     if abs(total - 1.0) > 1e-10:
@@ -87,7 +91,30 @@ def entanglement_entropy(spectrum: SchmidtSpectrum) -> float:
 
 
 def classify(state: StateVector, oracle: MarkedOracle) -> RandomnessClass:
-    """Name the regime of a post-selected marked state.
+    """Name the regime of a post-selected marked state (see ``classify_grid``)."""
+    if (state.s_values, state.w_values) != (oracle.s_values, oracle.w_values):
+        raise DomainError("state value registers differ from the oracle support")
+    matrix = _flag_matrix(state)
+    rows, cols = _support(matrix)
+    return classify_grid(matrix[np.ix_(rows, cols)], oracle, rows, cols)
+
+
+def classify_marked(oracle: MarkedOracle, amplitude: float) -> RandomnessClass:
+    """The regime of the post-selected marked state, which carries one
+    ``amplitude`` on every marked pair and nothing elsewhere."""
+    rows = np.flatnonzero(oracle.mask.any(axis=1))
+    cols = np.flatnonzero(oracle.mask.any(axis=0))
+    # complex, as in the state, so the SVD reads the same bytes
+    matrix = oracle.mask[np.ix_(rows, cols)] * complex(amplitude)
+    return classify_grid(matrix, oracle, rows, cols)
+
+
+def classify_grid(
+    matrix: np.ndarray, oracle: MarkedOracle, rows: np.ndarray, cols: np.ndarray
+) -> RandomnessClass:
+    """Name the regime of a flag matrix over the oracle's value registers,
+    given as its weighted ``rows`` and ``cols`` (ascending indices into the
+    registers) and the block ``matrix`` they cut out; it is zero elsewhere.
 
     Blocks are the occupied rows of each occupied witness column of the
     (s, w) grid. One block is NoRandomness, all-singleton blocks are Maximal,
@@ -95,26 +122,24 @@ def classify(state: StateVector, oracle: MarkedOracle) -> RandomnessClass:
     with several witnesses, or whose amplitudes are not uniform, is not of
     that family and comes back NonCanonical.
     """
-    if (state.s_values, state.w_values) != (oracle.s_values, oracle.w_values):
-        raise DomainError("state value registers differ from the oracle support")
-    matrix = _flag_matrix(state)
     magnitudes = np.abs(matrix)
     occupied = magnitudes > _AMP_TOL
     if not occupied.any():
         raise DomainError("empty marked support")
-    stray = np.argwhere(occupied & ~oracle.mask)
-    if len(stray):
-        s, w = state.s_values[stray[0][0]], state.w_values[stray[0][1]]
+    stray = occupied > oracle.mask[np.ix_(rows, cols)]
+    if stray.any():
+        i, j = np.argwhere(stray)[0]
+        s, w = oracle.s_values[rows[i]], oracle.w_values[cols[j]]
         raise DomainError(f"occupied pair ({s}, {w}) is not marked by the relation")
-    spectrum = _schmidt_split(matrix, magnitudes)
+    spectrum = _schmidt_split(matrix)
     entropy = entanglement_entropy(spectrum)
     mags = magnitudes[occupied]
     if occupied.sum(axis=1).max() > 1 or mags.max() - mags.min() > _UNIFORM_TOL:
         return RandomnessClass(RandomnessRegime.NON_CANONICAL, entropy, None, spectrum)
-    s_values = np.array(state.s_values, dtype=object)
+    s_values = np.array(list(map(oracle.s_values.__getitem__, rows.tolist())), dtype=object)
     blocks = tuple(
         sorted(
-            (state.w_values[j], tuple(sorted(s_values[occupied[:, j]].tolist())))
+            (oracle.w_values[cols[j]], tuple(sorted(s_values[occupied[:, j]].tolist())))
             for j in np.flatnonzero(occupied.any(axis=0))
         )
     )

@@ -26,6 +26,7 @@ from .errors import DomainError, QubitCapError
 from .pipeline import (
     AnalyzeOptions,
     analyze,
+    covers_dict,
     cross_check,
     minimize_covered,
     quantum_stage,
@@ -356,24 +357,12 @@ def cmd_witness(config: RunConfig) -> int:
             "multiply_witnessed": [list(x) for x in coverage.multiply_witnessed],
             "shared_witnesses": [list(x) for x in coverage.shared_witnesses],
         },
-        "covers": {
-            "min_cover": {
-                "kind": mini.min_cover.kind.value,
-                "m": mini.min_cover.m,
-                "chosen": list(mini.min_cover.chosen),
-            },
-            "exact_cover": {
-                "kind": mini.exact_cover.kind.value,
-                "m": mini.exact_cover.m,
-                "chosen": list(mini.exact_cover.chosen),
-            },
-            "unique_witness_assignment": {
-                "exists": mini.assignment is not None,
-                "assignment": None
-                if mini.assignment is None
-                else [[t, w] for t, w in mini.assignment.items()],
-            },
-        },
+        "covers": covers_dict(
+            mini.min_cover,
+            mini.exact_cover,
+            None if mini.assignment is None else mini.assignment.items(),
+            certificate=False,
+        ),
     }
     _write(config.out, emit_json("witness", body, "witness", config))
     return 0
@@ -385,7 +374,7 @@ def cmd_simulate(config: RunConfig) -> int:
         raise DomainError("nothing to amplify: the relation has no candidate witnesses")
     stage = quantum_stage(config.sequence.elements, relation, config.qubit_cap)
     grover = stage.amplified()  # raises when nothing is marked
-    layout, oracle = stage.prepared.layout, stage.oracle
+    layout, oracle = stage.layout, stage.oracle
     body = {
         "layout": {
             "s_qubits": layout.s_qubits,

@@ -135,17 +135,39 @@ def _least_cover(full: int, masks: list[int], limit: int, disjoint: bool) -> lis
     least one of its size still allowed, and the limit then drops below it.
     With ``disjoint`` a candidate joins only if it misses every target already
     covered, so only exact covers are found. None when no cover fits.
+
+    A target's only witness is in every cover, so those forced witnesses are
+    taken before the search, which then covers the rest with the others. The
+    order is kept: between two covers of one size, both holding the forced
+    set, the least element of their symmetric difference decides.
     """
     # a candidate covering no target is never included: search without them
     live = [j for j, mask in enumerate(masks) if mask]
     masks = [masks[j] for j in live]
+    once = twice = 0
+    for mask in masks:
+        twice |= once & mask
+        once |= mask
+    once &= ~twice  # the targets with a single witness
+    forced: list[int] = []
+    rest = range(len(masks))
+    start = 0
+    if once:
+        forced = [k for k, mask in enumerate(masks) if mask & once]
+        limit -= len(forced)
+        for k in forced:
+            if disjoint and masks[k] & start or limit < 0:
+                return None  # two forced witnesses share a target, or too many
+            start |= masks[k]
+        rest = [k for k, mask in enumerate(masks) if not mask & once]
+        masks = [masks[k] for k in rest]
     n = len(masks)
     suffix_union = [0] * (n + 1)
     for j in range(n - 1, -1, -1):
         suffix_union[j] = suffix_union[j + 1] | masks[j]
     best = None
     # explicit stack; the exclude branch is pushed first so include runs first
-    stack: list[tuple[int, int, tuple[int, ...]]] = [(0, 0, ())]
+    stack: list[tuple[int, int, tuple[int, ...]]] = [(0, start, ())]
     while stack:
         j, covered, chosen = stack.pop()
         if covered == full:
@@ -163,7 +185,9 @@ def _least_cover(full: int, masks: list[int], limit: int, disjoint: bool) -> lis
         gain = masks[j] & remaining
         if gain and (gain == masks[j] or not disjoint):
             stack.append((j + 1, covered | gain, chosen + (j,)))
-    return None if best is None else [live[k] for k in best]
+    if best is None:
+        return None
+    return [live[k] for k in sorted(forced + [rest[k] for k in best])]
 
 
 def min_set_cover(

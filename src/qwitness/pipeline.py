@@ -12,10 +12,13 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import repeat
+from functools import cached_property
 from math import asin, sin, sqrt
+from typing import NamedTuple
 
-from .classify import RandomnessRegime, classify
+import numpy as np
+
+from .classify import RandomnessRegime, classify_marked
 from .cover import (
     DEFAULT_EXACT_THRESHOLD,
     CompressibilityVerdict,
@@ -30,13 +33,12 @@ from .quantum import (
     DEFAULT_QUBIT_CAP,
     CountEstimate,
     MarkedOracle,
+    RegisterLayout,
     StateVector,
-    apply_marking,
     counting_error_bound,
     grover_iterations_optimal,
     grover_run,
-    post_select_flag,
-    prepare_superposition,
+    marked_amplitude,
     quantum_count,
 )
 from .sequences import (
@@ -110,6 +112,28 @@ class QuantumBlock:
     post_support_matches_pairs: bool | None = None
 
 
+def covers_dict(
+    min_cover: CoverSolution, exact_cover: CoverSolution, assignment, *, certificate: bool
+) -> dict:
+    """The canonical ``covers`` block; ``assignment`` holds (target, witness)
+    pairs, or None when no injective assignment exists."""
+
+    def cover_dict(sol: CoverSolution) -> dict:
+        out = {"kind": sol.kind.value, "m": sol.m, "chosen": list(sol.chosen)}
+        if certificate:
+            out["certificate"] = sol.certificate
+        return out
+
+    return {
+        "min_cover": cover_dict(min_cover),
+        "exact_cover": cover_dict(exact_cover),
+        "unique_witness_assignment": {
+            "exists": assignment is not None,
+            "assignment": None if assignment is None else [[t, w] for t, w in assignment],
+        },
+    }
+
+
 @dataclass(frozen=True)
 class RandomnessReport:
     sequence_label: str
@@ -142,14 +166,6 @@ class RandomnessReport:
 
     def to_dict(self) -> dict:
         """Canonical, JSON-ready view with a stable field order."""
-
-        def cover_dict(sol: CoverSolution) -> dict:
-            return {
-                "kind": sol.kind.value,
-                "m": sol.m,
-                "chosen": list(sol.chosen),
-                "certificate": sol.certificate,
-            }
 
         def class_dict(cls: ClassifiedState | None) -> dict | None:
             if cls is None:
@@ -185,16 +201,9 @@ class RandomnessReport:
                 "shared_witnesses": self.relation.shared_witnesses,
                 "oracle_matches_question": self.relation.oracle_matches_question,
             },
-            "covers": {
-                "min_cover": cover_dict(self.min_cover),
-                "exact_cover": cover_dict(self.exact_cover_solution),
-                "unique_witness_assignment": {
-                    "exists": self.assignment_exists,
-                    "assignment": None
-                    if self.assignment is None
-                    else [[t, w] for t, w in self.assignment],
-                },
-            },
+            "covers": covers_dict(
+                self.min_cover, self.exact_cover_solution, self.assignment, certificate=True
+            ),
             "paradox": {
                 "detected": self.paradox,
                 "narrative": self.paradox_narrative,
@@ -284,59 +293,71 @@ def witness_stage(
 
 @dataclass(frozen=True)
 class MarkedStates:
-    """What classification reads: the oracle of one relation and its
-    post-selected state."""
+    """What classification reads: the oracle of one relation, and the one
+    amplitude ``c`` that its post-selected marked state carries on every
+    marked pair (the state is c times the oracle's mask on flag 1)."""
 
     oracle: MarkedOracle
-    post: StateVector
+    c: float
 
 
 @dataclass(frozen=True)
 class Amplification:
     iterations: int
     trace: list[float]  # marked probability after 0..iterations rounds
-    state: StateVector
+    final: np.ndarray  # flag-0 amplitudes after the last round, in (s, w) order
     angle: float  # theta = arcsin(sqrt(M/N))
+    layout: RegisterLayout
+    oracle: MarkedOracle
+
+    @cached_property
+    def state(self) -> StateVector:
+        """The amplified state, built only when it is printed."""
+        shape = self.oracle.mask.shape
+        amps = np.zeros((*shape, 2), dtype=np.complex128)
+        amps[:, :, 0] = self.final.reshape(shape)
+        return StateVector(amps, self.oracle.s_values, self.oracle.w_values, self.layout)
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuantumStage:
-    """Steps 4-5 over one relation: the prepared state and the oracle, built
-    once. Each later step runs only when a view asks for it; marking comes
-    last and releases the prepared state before post-selection."""
+    """Steps 4-5 over one relation: the register layout and the oracle, built
+    once. Each later step runs only when a view asks for it, and reads the
+    oracle's mask: no step needs the prepared state itself."""
 
-    prepared: StateVector | None
+    layout: RegisterLayout
     oracle: MarkedOracle
 
     def count(self, phase_bits: int) -> CountEstimate:
         return quantum_count(self.oracle, self.oracle.support, phase_bits)
 
     def amplified(self) -> Amplification:
-        """The optimal number of Grover rounds on the prepared state."""
+        """The optimal number of Grover rounds from the prepared state."""
         m_marked, support = self.oracle.marked_count, self.oracle.support
         iterations = grover_iterations_optimal(support, m_marked)
-        trace, state = grover_run(self.prepared, self.oracle, iterations)
-        return Amplification(iterations, trace, state, asin(sqrt(m_marked / support)))
+        trace, final = grover_run(self.oracle, iterations)
+        return Amplification(
+            iterations, trace, final, asin(sqrt(m_marked / support)), self.layout, self.oracle
+        )
 
     def marked_states(self) -> MarkedStates:
-        """Mark the prepared state and keep flag = 1 (the last step)."""
-        marked = apply_marking(self.prepared, self.oracle)
-        self.prepared = None
-        return MarkedStates(self.oracle, post_select_flag(marked))
+        """The marked, post-selected state (the last step)."""
+        return MarkedStates(self.oracle, marked_amplitude(self.oracle))
 
 
-def quantum_stage(s_values, relation: WitnessRelation, qubit_cap: int) -> QuantumStage:
-    """The one builder of the register layout, the prepared state and the
-    oracle. The relation needs candidate witnesses; registers past the cap
-    raise QubitCapError."""
+def quantum_stage(s_values, relation, qubit_cap: int) -> QuantumStage:
+    """The one builder of the register layout and the oracle. The relation
+    (or any marking ``MarkedOracle.from_relation`` reads) needs candidate
+    witnesses; registers past the cap raise QubitCapError before the oracle
+    is built."""
     return QuantumStage(
-        prepare_superposition(s_values, relation.candidates, qubit_cap),
+        RegisterLayout.for_values(s_values, relation.candidates, qubit_cap),
         MarkedOracle.from_relation(s_values, relation),
     )
 
 
 def _classified(states: MarkedStates, basis: str) -> ClassifiedState:
-    cls = classify(states.post, states.oracle)
+    cls = classify_marked(states.oracle, states.c)
     return ClassifiedState(
         basis=basis,
         regime=cls.regime.value,
@@ -367,7 +388,7 @@ def _run_quantum(seq: Sequence, relation: WitnessRelation, options: AnalyzeOptio
         stage = quantum_stage(seq.elements, relation, options.qubit_cap)
     except QubitCapError as exc:
         return QuantumBlock(skipped=True, reason=str(exc)), None
-    layout, oracle = stage.prepared.layout, stage.oracle
+    layout, oracle = stage.layout, stage.oracle
     m_marked = oracle.marked_count
     block = QuantumBlock(
         skipped=False,
@@ -387,38 +408,54 @@ def _run_quantum(seq: Sequence, relation: WitnessRelation, options: AnalyzeOptio
         grover_iterations=grover.iterations,
         grover_success=grover.trace[-1],
         grover_closed_form=sin((2 * grover.iterations + 1) * grover.angle) ** 2,
-        post_support_matches_pairs=bool((states.post.support_mask() == oracle.mask).all()),
+        # the mask is the post-selected support by construction; this checks
+        # that the scatter kept every marked pair
+        post_support_matches_pairs=oracle.marked_count == len(relation.marked_pairs[0]),
     )
     return block, states
+
+
+class OneWitnessEach(NamedTuple):
+    """A marking with one witness per target, in the shape that
+    ``MarkedOracle.from_relation`` reads; its rows need no check."""
+
+    targets: tuple[int, ...]
+    candidates: tuple[int, ...]
+    marked_pairs: tuple[np.ndarray, np.ndarray]  # (target index, candidate index)
+    oracle_descriptor: str
 
 
 def _assigned_relation(
     restricted: WitnessRelation,
     assignment: dict[int, int] | None,
     cover: CoverSolution,
-) -> WitnessRelation | None:
+) -> OneWitnessEach | None:
     """One witness per target: the injective assignment when it exists, else
     the smallest chosen cover witness of each target."""
     if not all(restricted.incidence):
         return None
     candidates = restricted.candidates
     index = dict(zip(candidates, range(len(candidates))))
+    q = len(restricted.targets)
     if assignment is not None:
-        picks = map(index.__getitem__, map(assignment.__getitem__, restricted.targets))
+        picks = np.fromiter(
+            map(index.__getitem__, map(assignment.__getitem__, restricted.targets)), np.intp, q
+        )
     else:
         # rank the chosen witnesses by value; each target takes its least
         # rank, and a witness outside the cover ranks last
-        chosen = list(map(index.__getitem__, sorted(cover.chosen)))
-        rank = dict(zip(chosen, range(len(chosen))))
-        last = repeat(len(chosen))
-        least = list(map(min, map(map, repeat(rank.get), restricted.incidence, repeat(last))))
-        if max(least) == len(chosen):
+        chosen = np.fromiter(map(index.__getitem__, sorted(cover.chosen)), np.intp)
+        rank = np.full(len(candidates), len(chosen))
+        rank[chosen] = np.arange(len(chosen))
+        target, candidate = restricted.marked_pairs
+        least = np.minimum.reduceat(rank[candidate], np.flatnonzero(np.diff(target, prepend=-1)))
+        if least.max() == len(chosen):
             return None
-        picks = map(chosen.__getitem__, least)
-    return WitnessRelation(
+        picks = chosen[least]
+    return OneWitnessEach(
         targets=restricted.targets,
         candidates=candidates,
-        incidence=tuple(zip(picks)),
+        marked_pairs=(np.arange(q), picks),
         oracle_descriptor=restricted.oracle_descriptor + " (one witness per target)",
     )
 
@@ -468,13 +505,15 @@ def analyze(
     primary = None
     with _stage("classification"):
 
-        def reading(sub: WitnessRelation | None, basis: str) -> ClassifiedState | None:
-            """Classification of a one-witness-per-target relation, or a note."""
+        def reading(
+            sub: WitnessRelation | OneWitnessEach | None, basis: str
+        ) -> ClassifiedState | None:
+            """Classification of a one-witness-per-target marking, or a note."""
             if sub is None:
                 return None
             if not sub.candidates:
                 reason = "no candidate witnesses"
-            elif not any(sub.incidence):
+            elif not len(sub.marked_pairs[0]):
                 reason = "nothing is marked"
             else:
                 try:

@@ -19,6 +19,11 @@ with N = n*m. Counting is textbook phase estimation of that rotation. Both
 steps keep every marked amplitude equal and every unmarked amplitude equal,
 so the t-bit phase register distribution is computed exactly from two scalar
 trajectories, no sampling involved, in memory that depends on t only.
+
+Marking and post-selecting the prepared state leaves one amplitude c on each
+marked pair's flag 1, so the report path reads the oracle's mask and
+``marked_amplitude``; ``prepare_superposition``, ``apply_marking`` and
+``post_select_flag`` stay the public dense route and the test oracle.
 """
 
 from __future__ import annotations
@@ -66,14 +71,17 @@ class RegisterLayout:
     def index(self, s: int, w: int, flag: int) -> int:
         return (s << (self.w_qubits + 1)) | (w << 1) | flag
 
-    def decode(self, index: int) -> tuple[int, int, int]:
-        flag = index & 1
-        w = (index >> 1) & ((1 << self.w_qubits) - 1)
-        s = index >> (self.w_qubits + 1)
-        return s, w, flag
-
     @classmethod
     def for_values(cls, s_values, w_values, cap: int = DEFAULT_QUBIT_CAP) -> "RegisterLayout":
+        """The layout of two non-empty, duplicate-free value registers; past the
+        cap it raises QubitCapError before anything is allocated."""
+        s_values, w_values = tuple(s_values), tuple(w_values)
+        if not s_values or not w_values:
+            raise DomainError("both value registers must be non-empty")
+        if len(set(s_values)) != len(s_values):
+            raise DomainError("duplicate values in the s register")
+        if len(set(w_values)) != len(w_values):
+            raise DomainError("duplicate values in the w register")
         layout = cls(_qubits_for(max(s_values)), _qubits_for(max(w_values)))
         if layout.total_qubits > cap:
             raise QubitCapError(
@@ -98,18 +106,6 @@ class StateVector:
             raise DomainError("amplitude array does not match the value registers")
         if abs(_norm(self.amplitudes) - 1.0) > _NORM_TOL:
             raise DomainError("state vector must have unit norm")
-
-    def norm(self) -> float:
-        return _norm(self.amplitudes)
-
-    def amplitude(self, s: int, w: int, flag: int) -> complex:
-        if s not in self.s_values or w not in self.w_values:
-            return 0j
-        return complex(self.amplitudes[self.s_values.index(s), self.w_values.index(w), flag])
-
-    def support_mask(self) -> np.ndarray:
-        """(n, m) grid of the (s, w) pairs carrying weight on either flag value."""
-        return (np.abs(self.amplitudes) > _AMPLITUDE_TOL).any(axis=2)
 
     def to_json_entries(self, tol: float = _AMPLITUDE_TOL) -> list[list]:
         """[basis index, re, im] for every configuration carrying weight, in basis order."""
@@ -156,17 +152,23 @@ class MarkedOracle:
 
     @classmethod
     def from_relation(cls, s_values, relation) -> "MarkedOracle":
+        """The mask of a relation's marked pairs, by one scatter.
+
+        Reads only ``targets``, ``candidates``, ``marked_pairs`` and
+        ``oracle_descriptor``, so any marking in that shape will do.
+        """
         s_values = tuple(s_values)
         s_index = dict(zip(s_values, range(len(s_values))))
-        rows = list(map(s_index.get, relation.targets, repeat(-1)))
-        if -1 in rows:
-            for t, i, row in zip(relation.targets, rows, relation.incidence):
-                if i < 0 and row:
-                    w = relation.candidates[row[0]]
-                    raise DomainError(f"marked pair ({t}, {w}) outside the S x W support")
+        rows = np.fromiter(map(s_index.get, relation.targets, repeat(-1)), np.intp,
+                           len(relation.targets))
         target, candidate = relation.marked_pairs
+        rows = rows[target]
+        if rows.size and rows.min() < 0:
+            k = int(np.argmax(rows < 0))  # the first pair in row order
+            t, w = relation.targets[target[k]], relation.candidates[candidate[k]]
+            raise DomainError(f"marked pair ({t}, {w}) outside the S x W support")
         mask = np.zeros((len(s_values), len(relation.candidates)), dtype=bool)
-        mask[np.array(rows, dtype=np.intp)[target], candidate] = True
+        mask[rows, candidate] = True
         oracle = cls.__new__(cls)
         oracle._hold(s_values, relation.candidates, mask, relation.oracle_descriptor)
         return oracle
@@ -186,25 +188,19 @@ def prepare_superposition(
     s_values, w_values, cap: int = DEFAULT_QUBIT_CAP
 ) -> StateVector:
     """Equal amplitudes 1/sqrt(n*m) on every (s, w, 0) configuration."""
-    s_values = tuple(s_values)
-    w_values = tuple(w_values)
-    if not s_values or not w_values:
-        raise DomainError("both value registers must be non-empty")
-    if len(set(s_values)) != len(s_values):
-        raise DomainError("duplicate values in the s register")
-    if len(set(w_values)) != len(w_values):
-        raise DomainError("duplicate values in the w register")
+    s_values, w_values = tuple(s_values), tuple(w_values)
     layout = RegisterLayout.for_values(s_values, w_values, cap)
     amps = np.zeros((len(s_values), len(w_values), 2), dtype=np.complex128)
     amps[:, :, 0] = 1.0 / sqrt(len(s_values) * len(w_values))
     return StateVector(amps, s_values, w_values, layout)
 
 
-def _check_support(state: StateVector, oracle: MarkedOracle, flag: int | None) -> np.ndarray:
-    """A copy of the state's amplitudes in the oracle's (s, w) order.
+def apply_marking(state: StateVector, oracle: MarkedOracle) -> StateVector:
+    """Write the oracle bit into the flag: (s, w, b) -> (s, w, b xor Q(s, w)).
 
-    The value registers must hold the oracle's values; with ``flag`` given,
-    no weight may sit on the other flag value.
+    A pure permutation of amplitudes, hence self-inverse and norm-preserving.
+    The state's value registers must hold the oracle's values, in any order;
+    the result is in the oracle's order.
     """
     amps = state.amplitudes
     if (state.s_values, state.w_values) != (oracle.s_values, oracle.w_values):
@@ -213,17 +209,7 @@ def _check_support(state: StateVector, oracle: MarkedOracle, flag: int | None) -
         if rows.keys() != set(oracle.s_values) or cols.keys() != set(oracle.w_values):
             raise DomainError("state value registers differ from the oracle support")
         amps = amps[np.ix_([rows[s] for s in oracle.s_values], [cols[w] for w in oracle.w_values])]
-    if flag is not None and np.any(np.abs(amps[:, :, 1 - flag]) > _NORM_TOL):
-        raise DomainError(f"state has weight off flag={flag}")
-    return amps.copy()
-
-
-def apply_marking(state: StateVector, oracle: MarkedOracle) -> StateVector:
-    """Write the oracle bit into the flag: (s, w, b) -> (s, w, b xor Q(s, w)).
-
-    A pure permutation of amplitudes, hence self-inverse and norm-preserving.
-    """
-    amps = _check_support(state, oracle, flag=None)
+    amps = amps.copy()
     amps[oracle.mask] = amps[oracle.mask][:, ::-1]
     return StateVector(amps, oracle.s_values, oracle.w_values, state.layout)
 
@@ -237,26 +223,24 @@ def grover_iterations_optimal(n_total: int, n_marked: int) -> int:
     return floor((pi / 4.0) * sqrt(n_total / n_marked))
 
 
-def grover_run(
-    state: StateVector, oracle: MarkedOracle, iterations: int
-) -> tuple[list[float], StateVector]:
-    """Marked probability after k = 0..iterations rounds, and the final state.
+def grover_run(oracle: MarkedOracle, iterations: int) -> tuple[list[float], np.ndarray]:
+    """Marked probability after k = 0..iterations rounds, and the final flag-0 slice.
 
-    A round flips the phase of the marked pairs and inverts about the support
-    mean, on the flag-0 slice flattened in (s, w) order.
+    Starts from the prepared state's flag-0 slice, the uniform complex vector
+    1/sqrt(n*m) flattened in (s, w) order. A round flips the phase of the
+    marked pairs and inverts about the support mean; the mean's rounding
+    depends on that layout, so the vector stays complex and in that order.
     """
     if iterations < 0:
         raise DomainError("iteration count must be >= 0")
-    amps = _check_support(state, oracle, flag=0)
-    sub = amps[:, :, 0].flatten()
-    marked_mask = oracle.mask.ravel()
-    trace = [float(np.sum(np.abs(sub[marked_mask]) ** 2))]
+    sub = np.full(oracle.support, 1.0 / sqrt(oracle.support), dtype=np.complex128)
+    marked = np.flatnonzero(oracle.mask)  # gathers fewer cells than the boolean mask
+    trace = [float(np.sum(np.abs(sub[marked]) ** 2))]
     for _ in range(iterations):
-        sub[marked_mask] *= -1.0
+        sub[marked] *= -1.0
         sub = 2.0 * sub.mean() - sub
-        trace.append(float(np.sum(np.abs(sub[marked_mask]) ** 2)))
-    amps[:, :, 0] = sub.reshape(amps.shape[:2])
-    return trace, StateVector(amps, oracle.s_values, oracle.w_values, state.layout)
+        trace.append(float(np.sum(np.abs(sub[marked]) ** 2)))
+    return trace, sub
 
 
 @dataclass(frozen=True)
@@ -354,3 +338,22 @@ def post_select_flag(state: StateVector) -> StateVector:
         raise DomainError("no probability on flag = 1; nothing to post-select")
     amps /= norm
     return StateVector(amps, state.s_values, state.w_values, state.layout)
+
+
+def marked_amplitude(oracle: MarkedOracle) -> float:
+    """The amplitude c on every marked pair of the marked, post-selected state,
+    bit for bit as ``post_select_flag`` computes it (with its unit-norm check):
+    the squares sit where the state's float64 view holds them, at 4k + 2 of
+    4*n*m for marked flat index k, so ``np.sum`` adds them in the same order."""
+    a = 1.0 / sqrt(oracle.support)
+    parts = np.zeros(4 * oracle.support)
+    at = 4 * np.flatnonzero(oracle.mask) + 2
+    parts[at] = a * a
+    norm = sqrt(float(np.sum(parts)))
+    if norm < 1e-12:
+        raise DomainError("no probability on flag = 1; nothing to post-select")
+    c = a * (1.0 / norm)  # numpy divides a complex by a real via its reciprocal
+    parts[at] = c * c
+    if abs(sqrt(float(np.sum(parts))) - 1.0) > _NORM_TOL:
+        raise DomainError("state vector must have unit norm")
+    return c

@@ -9,6 +9,9 @@ tests compare the support-indexed code in ``qwitness.quantum`` and
 ``classify_per_pair`` is the original classifier, which walks the occupied
 (s, w) pairs of a support-indexed state one by one; tests compare the grid
 classifier in ``qwitness.classify`` against it.
+
+``decode``, ``indexed_amplitude``, ``indexed_norm`` and ``indexed_support``
+read registers and support-indexed states point by point, for the tests only.
 """
 
 from __future__ import annotations
@@ -36,11 +39,38 @@ from qwitness.quantum import (
     CountEstimate,
     MarkedOracle,
     RegisterLayout,
+    _AMPLITUDE_TOL,
     _NORM_TOL,
     _cospi,
+    _norm,
 )
 from qwitness.quantum import StateVector as IndexedStateVector
 from qwitness.witnesses import WitnessRelation
+
+
+def decode(layout: RegisterLayout, index: int) -> tuple[int, int, int]:
+    """(s, w, flag) of a basis index; ``layout.index`` inverted."""
+    flag = index & 1
+    w = (index >> 1) & ((1 << layout.w_qubits) - 1)
+    s = index >> (layout.w_qubits + 1)
+    return s, w, flag
+
+
+def indexed_amplitude(state: IndexedStateVector, s: int, w: int, flag: int) -> complex:
+    """One amplitude of a support-indexed state; 0 off its value registers."""
+    if s not in state.s_values or w not in state.w_values:
+        return 0j
+    return complex(state.amplitudes[state.s_values.index(s), state.w_values.index(w), flag])
+
+
+def indexed_norm(state: IndexedStateVector) -> float:
+    """The norm a support-indexed state checks itself against."""
+    return _norm(state.amplitudes)
+
+
+def indexed_support(state: IndexedStateVector) -> np.ndarray:
+    """(n, m) grid of the (s, w) pairs carrying weight on either flag value."""
+    return (np.abs(state.amplitudes) > _AMPLITUDE_TOL).any(axis=2)
 
 
 @dataclass
@@ -65,7 +95,7 @@ class StateVector:
         """(s, w, flag, amplitude) for every configuration carrying weight."""
         out = []
         for idx in np.flatnonzero(np.abs(self.amplitudes) > tol):
-            s, w, flag = self.layout.decode(int(idx))
+            s, w, flag = decode(self.layout, int(idx))
             out.append((s, w, flag, complex(self.amplitudes[idx])))
         return out
 
@@ -115,7 +145,7 @@ def _check_support(state: StateVector, oracle: MarkedOracle, flag: int | None) -
         if int(i) not in allowed
     ]
     if outside:
-        s, w, f = state.layout.decode(outside[0])
+        s, w, f = decode(state.layout, outside[0])
         raise DomainError(f"state has weight on ({s}, {w}, flag={f}) outside the oracle support")
 
 

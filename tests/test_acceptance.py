@@ -137,10 +137,9 @@ def test_criterion_4_grover_closed_form():
     start = time.perf_counter()
     worst = 0.0
     for n in (4, 8, 16, 32):
-        state = prepare_superposition(range(1, n + 1), [1])
         for m in range(1, n + 1):
             oracle = synthetic_oracle(n, m)
-            trace = grover_run(state, oracle, 10)[0]
+            trace = grover_run(oracle, 10)[0]
             theta = asin(sqrt(m / n))
             for k, prob in enumerate(trace):
                 worst = max(worst, abs(prob - sin((2 * k + 1) * theta) ** 2))

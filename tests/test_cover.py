@@ -234,6 +234,39 @@ class TestMatchesReference:
         self.assert_same_covers(relation_composite(factor_elements(Sequence.from_range(2, n))))
 
 
+    @given(st.integers(min_value=0, max_value=2**32))
+    @settings(max_examples=100, deadline=None)
+    def test_relations_with_forced_witnesses(self, seed):
+        # sparse rows, so many targets have a single witness and forced
+        # witnesses often share targets
+        rng = random.Random(seed)
+        targets = tuple(range(1, rng.randint(1, 24) + 1))
+        candidates = tuple(range(101, 101 + rng.randint(1, 16)))
+        rows = {t: rng.sample(candidates, min(len(candidates), rng.choice((1, 1, 2, 3))))
+                for t in targets}
+        self.assert_same_covers(make_relation(targets, candidates, rows))
+
+    def test_forced_witnesses_leave_the_greedy_alone(self):
+        # A = 1 and E = 5 are forced (targets 1 and 6); taking them first would
+        # make the greedy pick {A, E}, but it picks B first by gain
+        rel = make_relation(
+            range(1, 7),
+            (1, 2, 3, 4, 5),
+            {1: (1,), 2: (1, 2), 3: (1, 2), 4: (2, 3, 5), 5: (2, 4, 5), 6: (5,)},
+        )
+        greedy = min_set_cover(rel, exact_threshold=0)
+        assert (greedy.kind, greedy.chosen) == (CoverKind.GREEDY, (1, 2, 5))
+        exact = min_set_cover(rel, exact_threshold=6)
+        assert (exact.kind, exact.chosen) == (CoverKind.EXACT_MINIMUM, (1, 5))
+        self.assert_same_covers(rel)
+
+    def test_overlapping_forced_witnesses_have_no_exact_cover(self):
+        rel = make_relation((1, 2, 3), (7, 8, 9), {1: (7,), 2: (7, 8), 3: (8,)})
+        assert exact_cover(rel).kind is CoverKind.NO_COVER
+        assert min_set_cover(rel).chosen == (7, 8)
+        self.assert_same_covers(rel)
+
+
 class TestMatchesFirstWritten:
     """The lazy greedy picks the witnesses the full rescan picked, in the same
     order, and the explicit-stack matching returns the recursive one's assignment."""

@@ -9,7 +9,10 @@ benchmark workloads under ``analyze`` and ``witness``, the list inputs under
 values 0, 21 and 40 (exit 2), and four short ``--list`` edge cases: a
 composite whose sqrt(max) is past the sieve guard (exit 2), a semiprime with
 both factors past 10^5, a prime near 10^15 (sqrt(max) about 3.2 * 10^7), and
-a composite list whose wide pool leaves most candidates covering no target.
+a composite list whose wide pool leaves most candidates covering no target;
+then two wide self-pairing relations under ``--no-quantum``, the primes in
+[1, 10^5] and the identity question on [1, 3000], where every witness is
+forced.
 A change that is meant to leave reports unchanged keeps every entry. To
 re-record the hashes of the listed argvs after an intended report change, run
 ``PYTHONPATH=src python tests/test_manifest.py`` and list every changed entry.

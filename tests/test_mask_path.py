@@ -1,0 +1,136 @@
+"""The report path reads marked states from the oracle's mask and one amplitude.
+
+``post_select_flag(apply_marking(prepare_superposition(...), oracle))`` is the
+public dense route. These tests hold the mask path to it bit for bit: the
+amplitude ``marked_amplitude`` computes, the classification, and the support.
+The dense route's own checks (unit norm of each state, value registers equal
+to the oracle's, weight only on flag 1 after post-selection) run here on every
+case, since ``analyze`` no longer builds the states that carried them.
+"""
+
+import os
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dense_reference import indexed_support
+from qwitness.classify import classify, classify_marked
+from qwitness.cli import build_config, make_parser
+from qwitness.errors import QubitCapError
+from qwitness.pipeline import (
+    _assigned_relation,
+    analyze,
+    coverage_check,
+    cross_check,
+    minimize_covered,
+    quantum_stage,
+    witness_stage,
+)
+from qwitness.quantum import (
+    MarkedOracle,
+    StateVector,
+    apply_marking,
+    grover_run,
+    marked_amplitude,
+    post_select_flag,
+    prepare_superposition,
+)
+from qwitness.sequences import IsComposite, MobiusPlusOne, RecurrenceMembership, Sequence
+from qwitness.witnesses import WitnessRelation
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
+from workloads import DEFAULT_SEED, generate  # noqa: E402
+
+
+def assert_mask_path_matches_dense(s_values, relation):
+    """The mask path and the dense chain agree on one relation's marked state."""
+    oracle = MarkedOracle.from_relation(s_values, relation)
+    assert oracle.marked_count == len(relation.marked_pairs[0])
+    prepared = prepare_superposition(s_values, relation.candidates, cap=64)
+    # Grover starts from the prepared state's flag-0 slice
+    assert grover_run(oracle, 0)[1].tobytes() == prepared.amplitudes[:, :, 0].flatten().tobytes()
+    if not oracle.marked_count:
+        return
+    post = post_select_flag(apply_marking(prepared, oracle))
+    c = marked_amplitude(oracle)
+    expected = np.where(oracle.mask, complex(c), 0j)
+    assert post.amplitudes[:, :, 1].tobytes() == expected.tobytes()
+    assert not post.amplitudes[:, :, 0].any()
+    assert (indexed_support(post) == oracle.mask).all()
+    assert classify_marked(oracle, c) == classify(post, oracle)
+
+
+@st.composite
+def relations(draw):
+    """(s register, relation): up to 12 targets and 8 candidates, the s
+    register holding the targets and a few more values in any order."""
+    values = st.integers(min_value=0, max_value=300)
+    targets = draw(st.lists(values, min_size=1, max_size=12, unique=True))
+    extra = draw(st.lists(values.filter(lambda v: v not in targets), max_size=4, unique=True))
+    s_values = draw(st.permutations(targets + extra))
+    candidates = draw(st.lists(values, min_size=1, max_size=8, unique=True))
+    rows = tuple(
+        tuple(sorted(draw(st.sets(st.integers(0, len(candidates) - 1), max_size=len(candidates)))))
+        for _ in targets
+    )
+    return s_values, WitnessRelation(tuple(targets), tuple(candidates), rows, "random")
+
+
+class TestMatchesDenseChain:
+    @given(relations())
+    @settings(max_examples=300, deadline=None)
+    def test_random_relations(self, case):
+        assert_mask_path_matches_dense(*case)
+
+    @pytest.mark.parametrize("workload", ["composite-range", "sparse-lists"])
+    def test_every_default_seed_input(self, workload):
+        """Each reading analyze takes: the relation, the cover-based and the
+        injective one-witness-per-target markings."""
+        _warmup, inputs = generate(workload, DEFAULT_SEED)
+        distinct = list({tuple(argv): argv for argv in inputs}.values())
+        compared = 0
+        for argv in distinct:
+            config = build_config(make_parser().parse_args(argv))
+            seq = config.sequence
+            _bits, relation, _faithful = witness_stage(seq, config.question)
+            try:
+                quantum_stage(seq.elements, relation, config.qubit_cap)
+            except QubitCapError:
+                continue
+            assert_mask_path_matches_dense(seq.elements, relation)
+            restricted, mini = minimize_covered(
+                relation, coverage_check(relation), config.exact_threshold
+            )
+            for assignment in (None, mini.assignment):
+                picked = _assigned_relation(restricted, assignment, mini.min_cover)
+                if picked is None:
+                    continue
+                # the same marking as a checked relation, one row per target
+                rows = tuple(zip(picked.marked_pairs[1].tolist()))
+                sub = WitnessRelation(picked.targets, picked.candidates, rows, "assigned")
+                assert (picked.marked_pairs[0] == sub.marked_pairs[0]).all()
+                assert_mask_path_matches_dense(seq.elements, sub)
+            compared += 1
+        assert compared == len(distinct)
+
+
+@pytest.mark.parametrize(
+    "seq, question",
+    [
+        (Sequence.from_values((1, 2, 3, 5, 6, 7, 10, 11, 13, 14, 15), "sf"), MobiusPlusOne()),
+        (Sequence.from_range(2, 100), IsComposite()),
+        (Sequence.from_range(1, 20), RecurrenceMembership(3, 1)),
+    ],
+    ids=["mobius", "composite-2-100", "recurrence"],
+)
+def test_analyze_builds_no_state(monkeypatch, seq, question):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("analyze built a StateVector")
+
+    monkeypatch.setattr(StateVector, "__post_init__", refuse)
+    report = analyze(seq, question)
+    assert report.randomness is not None
+    assert cross_check(report) == []

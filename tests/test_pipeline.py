@@ -316,10 +316,13 @@ class TestComputeOnce:
     )
     def test_one_schmidt_split_per_classification(self, monkeypatch, seq, question):
         module = sys.modules["qwitness.classify"]  # the package binds the name to the function
-        calls = self.counted(monkeypatch, ((module, "classify"), (module, "_schmidt_split")))
+        names = ("classify", "classify_marked", "classify_grid", "_schmidt_split")
+        calls = self.counted(monkeypatch, [(module, name) for name in names])
         analyze(seq, question)
-        assert calls["classify"] >= 2
-        assert calls["_schmidt_split"] == calls["classify"], calls
+        # analyze reads the mask and one amplitude; the state wrapper is not reached
+        assert calls["classify"] == 0
+        assert calls["classify_marked"] >= 2
+        assert calls["_schmidt_split"] == calls["classify_grid"] == calls["classify_marked"], calls
 
     @pytest.mark.parametrize(
         "seq, question",
@@ -341,6 +344,6 @@ class TestComputeOnce:
         argv = ["simulate", "--range", "2", "100", "--question", "composite"]
         assert main([*argv, "--out", str(tmp_path / "out.json")]) == 0
         assert calls == {
-            "prepare_superposition": 1, "grover_run": 1, "quantum_count": 1,
+            "prepare_superposition": 0, "grover_run": 1, "quantum_count": 1,
             "apply_marking": 0, "post_select_flag": 0,
         }
