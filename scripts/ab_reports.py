@@ -7,8 +7,10 @@ Each round runs the workload's distinct inputs through ``qwitness.cli.main``
 once per tree, each tree in a fresh interpreter, alternating which tree goes
 first. Every input is reported once untimed, then once timed, into a
 temporary file. Prints the median milliseconds per report of each tree in
-each round, then the median over rounds. Inputs come from
-``perfbench/workloads.py``, which is only read.
+each round, then the median over rounds, then what a no-regression rule
+reads: how many rounds B was faster than A, and the distance between the
+quartiles of A's round medians, to set against the gap between the two
+medians. Inputs come from ``perfbench/workloads.py``, which is only read.
 """
 
 from __future__ import annotations
@@ -67,6 +69,11 @@ def main() -> None:
               flush=True)
     a, b = (statistics.median(medians[side]) for side in ("A", "B"))
     print(f"median over {args.rounds} rounds: A {a:.3f} ms  B {b:.3f} ms  (B/A {b / a:.3f})")
+    wins = sum(map(float.__gt__, medians["A"], medians["B"]))
+    print(f"B faster in {wins} of {args.rounds} rounds; median gap A - B {a - b:.3f} ms")
+    if args.rounds > 1:
+        q1, _, q3 = statistics.quantiles(medians["A"], n=4, method="inclusive")
+        print(f"A interquartile spread {q3 - q1:.3f} ms ({q1:.3f} to {q3:.3f} ms)")
 
 
 if __name__ == "__main__":

@@ -11,12 +11,18 @@ Usage: python scripts/counting_accuracy.py [max_t]
 
 import sys
 
+import numpy as np
+
 from qwitness.quantum import MarkedOracle, counting_error_bound, quantum_count
+from qwitness.witnesses import WitnessRelation
 
 
 def oracle(n, m):
-    s_values = tuple(range(1, n + 1))
-    return MarkedOracle(s_values, (1,), frozenset((s, 1) for s in s_values[:m]), "sweep")
+    """s = 1..n against the single witness 1, which marks the first m values."""
+    marking = WitnessRelation(
+        tuple(range(1, m + 1)), (1,), (np.arange(m), np.zeros(m, np.intp)), "sweep"
+    )
+    return MarkedOracle.from_relation(range(1, n + 1), marking)
 
 
 def main(max_t=12):

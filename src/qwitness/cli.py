@@ -112,11 +112,14 @@ def _merged(args: argparse.Namespace) -> dict:
 
 
 def _integer(value, name: str) -> int:
-    """The one place flag, config and environment numbers are converted."""
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    """The one place flag, config and environment numbers are converted: an
+    int or the text of one, never a JSON true or 6.9."""
+    if type(value) in (int, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
 def _build_sequence(merged: dict) -> Sequence:
@@ -187,6 +190,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if fmt not in ("json", "csv", "both"):
         raise DomainError(f"unknown format {fmt!r}")
     out = merged.get("out")
+    if out is not None and not isinstance(out, str):
+        raise DomainError(f"out must be a path or null, got {out!r}")
     if fmt == "both" and out is None:
         raise DomainError("--format both needs --out to place the two files")
     phase_bits = _integer(merged["phase_bits"], "phase_bits")
@@ -195,6 +200,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     exact_threshold = _integer(merged["exact_threshold"], "exact_threshold")
     if exact_threshold < 0:
         raise DomainError("--exact-threshold must be >= 0")
+    no_quantum = merged["no_quantum"]
+    if not isinstance(no_quantum, bool):
+        raise DomainError(f"no_quantum must be true or false, got {no_quantum!r}")
     return RunConfig(
         sequence=seq,
         question=question,
@@ -203,7 +211,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         exact_threshold=exact_threshold,
         out=out,
         format=fmt,
-        no_quantum=bool(merged["no_quantum"]),
+        no_quantum=no_quantum,
     )
 
 

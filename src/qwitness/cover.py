@@ -95,11 +95,10 @@ def _masks(rel: WitnessRelation) -> tuple[int, list[int]]:
 
 
 def _require_covered(rel: WitnessRelation) -> None:
-    if all(rel.incidence):
-        return
-    for t, row in zip(rel.targets, rel.incidence):
-        if not row:
-            raise DomainError(f"target {t} has no witness; remove uncovered targets first")
+    counts = rel.witness_counts
+    if 0 in counts:
+        t = rel.targets[int(counts.argmin())]
+        raise DomainError(f"target {t} has no witness; remove uncovered targets first")
 
 
 def _greedy_cover(full: int, masks: list[int], values) -> list[int]:
@@ -358,10 +357,10 @@ def _deadlock(
     """
     if not rel.targets:
         return False, "no targets"
-    least = min(map(len, rel.incidence))
-    if least < 2:
-        t = next(t for t, row in zip(rel.targets, rel.incidence) if len(row) == least)
-        return False, f"target {t} has a single witness; nothing to discard there"
+    counts = rel.witness_counts
+    i = int(counts.argmin())  # the first target of fewest witnesses
+    if counts[i] < 2:
+        return False, f"target {rel.targets[i]} has a single witness; nothing to discard there"
     q = len(rel.targets)
     if cover.m >= q:
         return False, f"minimum cover {cover.m} is not below the target count {q}"

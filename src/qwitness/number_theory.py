@@ -78,24 +78,6 @@ def _trial_primes() -> tuple[int, ...]:
     return tuple(primes_upto(_TRIAL_LIMIT))
 
 
-def trial_divide(k: int, primes) -> tuple[dict[int, int], int]:
-    """Divide k >= 1 by the ascending primes until p * p exceeds what is left.
-
-    Returns ({p: exponent}, cofactor). The cofactor has no prime factor in the
-    part of the pool that was tried, so it is 1 or a prime whenever the pool
-    holds every prime up to sqrt(k).
-    """
-    factors: dict[int, int] = {}
-    rest = k
-    for p in primes:
-        if p * p > rest:
-            break
-        while rest % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            rest //= p
-    return factors, rest
-
-
 # Cells per block of the divisibility pass: its temporaries stay near 9 MiB.
 _BLOCK_CELLS = 1 << 20
 
@@ -186,7 +168,14 @@ def factorize(k: int) -> dict[int, int]:
     _check_u64(k, "k")
     if k < 1:
         raise DomainError(f"cannot factor {k}; argument must be >= 1")
-    factors, rest = trial_divide(k, _trial_primes())
+    factors: dict[int, int] = {}
+    rest = k
+    for p in _trial_primes():
+        if p * p > rest:
+            break
+        while rest % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            rest //= p
     if rest > 1:
         if is_prime(rest):
             factors[rest] = 1

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from math import asin, sin, sqrt
-from typing import NamedTuple
 
 import numpy as np
 
@@ -347,9 +346,8 @@ class QuantumStage:
 
 def quantum_stage(s_values, relation, qubit_cap: int) -> QuantumStage:
     """The one builder of the register layout and the oracle. The relation
-    (or any marking ``MarkedOracle.from_relation`` reads) needs candidate
-    witnesses; registers past the cap raise QubitCapError before the oracle
-    is built."""
+    needs candidate witnesses; registers past the cap raise QubitCapError
+    before the oracle is built."""
     return QuantumStage(
         RegisterLayout.for_values(s_values, relation.candidates, qubit_cap),
         MarkedOracle.from_relation(s_values, relation),
@@ -415,25 +413,14 @@ def _run_quantum(seq: Sequence, relation: WitnessRelation, options: AnalyzeOptio
     return block, states
 
 
-class OneWitnessEach(NamedTuple):
-    """A marking with one witness per target, in the shape that
-    ``MarkedOracle.from_relation`` reads; its rows need no check."""
-
-    targets: tuple[int, ...]
-    candidates: tuple[int, ...]
-    marked_pairs: tuple[np.ndarray, np.ndarray]  # (target index, candidate index)
-    oracle_descriptor: str
-
-
 def _assigned_relation(
     restricted: WitnessRelation,
     assignment: dict[int, int] | None,
     cover: CoverSolution,
-) -> OneWitnessEach | None:
+) -> WitnessRelation:
     """One witness per target: the injective assignment when it exists, else
-    the smallest chosen cover witness of each target."""
-    if not all(restricted.incidence):
-        return None
+    the smallest chosen cover witness of each target (the cover holds one
+    for every target)."""
     candidates = restricted.candidates
     index = dict(zip(candidates, range(len(candidates))))
     q = len(restricted.targets)
@@ -449,10 +436,8 @@ def _assigned_relation(
         rank[chosen] = np.arange(len(chosen))
         target, candidate = restricted.marked_pairs
         least = np.minimum.reduceat(rank[candidate], np.flatnonzero(np.diff(target, prepend=-1)))
-        if least.max() == len(chosen):
-            return None
         picks = chosen[least]
-    return OneWitnessEach(
+    return WitnessRelation(
         targets=restricted.targets,
         candidates=candidates,
         marked_pairs=(np.arange(q), picks),
@@ -505,12 +490,8 @@ def analyze(
     primary = None
     with _stage("classification"):
 
-        def reading(
-            sub: WitnessRelation | OneWitnessEach | None, basis: str
-        ) -> ClassifiedState | None:
+        def reading(sub: WitnessRelation, basis: str) -> ClassifiedState | None:
             """Classification of a one-witness-per-target marking, or a note."""
-            if sub is None:
-                return None
             if not sub.candidates:
                 reason = "no candidate witnesses"
             elif not len(sub.marked_pairs[0]):
@@ -538,7 +519,7 @@ def analyze(
                 )
             else:
                 assigned_class = cover_class
-        if not any(relation.incidence) and satisfying.q == 0:
+        if not relation.marked_pairs[0].size and satisfying.q == 0:
             primary = _TRIVIAL_EMPTY
         elif options.run_quantum:
             if mini.paradox:

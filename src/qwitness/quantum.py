@@ -125,26 +125,14 @@ class StateVector:
 class MarkedOracle:
     """Truth table of the marking rule over the s and w value sets.
 
-    ``mask`` is the (n, m) table in (s_values, w_values) order. Built from a
-    relation it is filled by one scatter and the set of marked (s, w) pairs,
-    ``marked``, is made only when read; built from explicit pairs, every pair
-    is checked against the two value sets.
+    ``mask`` is the (n, m) bool table in (s_values, w_values) order, which
+    ``from_relation`` fills by one scatter; the set of marked (s, w) pairs,
+    ``marked``, is made only when read.
     """
 
-    def __init__(self, s_values, w_values, marked, descriptor: str):
-        s_values, w_values = tuple(s_values), tuple(w_values)
-        mask = np.zeros((len(s_values), len(w_values)), dtype=bool)
-        marked = tuple(marked)
-        if marked:
-            s_index = {s: i for i, s in enumerate(s_values)}
-            w_index = {w: j for j, w in enumerate(w_values)}
-            for s, w in marked:
-                if s not in s_index or w not in w_index:
-                    raise DomainError(f"marked pair ({s}, {w}) outside the S x W support")
-                mask[s_index[s], w_index[w]] = True
-        self._hold(s_values, w_values, mask, descriptor)
-
-    def _hold(self, s_values: tuple, w_values: tuple, mask: np.ndarray, descriptor: str):
+    def __init__(self, s_values: tuple, w_values: tuple, mask: np.ndarray, descriptor: str):
+        if mask.shape != (len(s_values), len(w_values)):
+            raise DomainError("oracle mask does not match the value registers")
         self.s_values, self.w_values, self.mask, self.descriptor = (
             s_values, w_values, mask, descriptor
         )
@@ -152,11 +140,7 @@ class MarkedOracle:
 
     @classmethod
     def from_relation(cls, s_values, relation) -> "MarkedOracle":
-        """The mask of a relation's marked pairs, by one scatter.
-
-        Reads only ``targets``, ``candidates``, ``marked_pairs`` and
-        ``oracle_descriptor``, so any marking in that shape will do.
-        """
+        """The mask of a relation's marked pairs over the s values, by one scatter."""
         s_values = tuple(s_values)
         s_index = dict(zip(s_values, range(len(s_values))))
         rows = np.fromiter(map(s_index.get, relation.targets, repeat(-1)), np.intp,
@@ -169,9 +153,7 @@ class MarkedOracle:
             raise DomainError(f"marked pair ({t}, {w}) outside the S x W support")
         mask = np.zeros((len(s_values), len(relation.candidates)), dtype=bool)
         mask[rows, candidate] = True
-        oracle = cls.__new__(cls)
-        oracle._hold(s_values, relation.candidates, mask, relation.oracle_descriptor)
-        return oracle
+        return cls(s_values, relation.candidates, mask, relation.oracle_descriptor)
 
     @cached_property
     def marked(self) -> frozenset[tuple[int, int]]:

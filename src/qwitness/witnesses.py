@@ -5,15 +5,18 @@ affine-recurrence questions, the divisor oracle for compositeness, the
 prime-quotient oracle for the Möbius question, and the self-pairing oracle.
 Targets with no witness are kept and surfaced, never silently dropped.
 
-The composite and Möbius builders take their rows from the hit pairs of one
-divisibility pass over the primes up to sqrt(max(S)) (``factor_elements``),
-the same one the bitstring was answered from, a few array operations per
-builder rather than a Python step per pair.
+A relation stores its marking once, as the sorted (target index, candidate
+index) arrays of its marked pairs; the per-target rows and witness counts are
+derived from them when read. The composite and Möbius builders take those
+arrays from the hit pairs of one divisibility pass over the primes up to
+sqrt(max(S)) (``factor_elements``), the same one the bitstring was answered
+from, a few array operations per builder rather than a Python step per pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import accumulate, chain, compress, islice, repeat
 from operator import lt, not_
 
@@ -24,57 +27,61 @@ from .number_theory import Factorization
 from .sequences import SatisfyingSet, Sequence
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WitnessRelation:
     """Incidence between target elements and a candidate witness pool.
 
-    ``incidence[i]`` lists, ascending, the indices into ``candidates`` of the
-    witnesses of ``targets[i]``. ``full_pool`` keeps the unpruned candidate
-    pool when construction narrowed it (audit trail for the Möbius builder).
-    Checking the rows leaves ``marked_pairs``: the (target index, candidate
-    index) arrays of every marked pair, row by row.
+    ``marked_pairs`` holds the (target index, candidate index) integer arrays
+    of every marked pair, sorted by target and then by candidate, so
+    ``target * len(candidates) + candidate`` strictly ascends. ``full_pool``
+    keeps the unpruned candidate pool when construction narrowed it (audit
+    trail for the Möbius builder).
     """
 
     targets: tuple[int, ...]
     candidates: tuple[int, ...]
-    incidence: tuple[tuple[int, ...], ...]
+    marked_pairs: tuple[np.ndarray, np.ndarray]
     oracle_descriptor: str
     full_pool: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if len(self.incidence) != len(self.targets):
-            raise DomainError("one incidence row per target required")
         candidates = self.candidates
         # an ascending pool (every builder's) is duplicate-free without a set
         if not all(map(lt, candidates, islice(candidates, 1, None))) and (
             len(set(candidates)) != len(candidates)
         ):
             raise DomainError("candidate pool must be duplicate-free")
-        m = len(candidates)
-        try:
-            candidate = np.fromiter(chain.from_iterable(self.incidence), np.intp)
-        except (TypeError, ValueError, OverflowError):
-            candidate = None  # an index that is no machine integer
-        if candidate is not None:
-            lengths = np.fromiter(map(len, self.incidence), np.intp, len(self.incidence))
-            target = np.repeat(np.arange(len(lengths)), lengths)
-            # with every index in range, target * m + candidate ascends over
-            # the pairs of all rows iff each row ascends
-            keys = target * m + candidate
-            if not candidate.size or (
-                candidate.min() >= 0 and candidate.max() < m and (keys[1:] > keys[:-1]).all()
-            ):
-                # (target index, candidate index) of every marked pair, row by row
-                object.__setattr__(self, "marked_pairs", (target, candidate))
+        target, candidate = self.marked_pairs
+        q, m = len(self.targets), len(candidates)
+        integral = target.dtype.kind in "iu" and candidate.dtype.kind in "iu"
+        if integral and len(target) == len(candidate):
+            if not target.size:
                 return
-        # name the first offending row
-        for row in self.incidence:
-            if list(row) != sorted(set(row)):
-                raise DomainError("incidence rows must be ascending and duplicate-free")
-            for j in row:
-                if not 0 <= j < m:
-                    raise DomainError(f"incidence index {j} out of range")
-        raise DomainError("incidence indices must be integers")
+            # with every candidate index in range, ascending keys make the
+            # target indices ascend too, so their ends bound them
+            keys = target * m + candidate
+            if (
+                candidate.min() >= 0
+                and candidate.max() < m
+                and (keys[1:] > keys[:-1]).all()
+                and target[0] >= 0
+                and target[-1] < q
+            ):
+                return
+        raise DomainError(_fault(target, candidate, q, m))
+
+    @cached_property
+    def witness_counts(self) -> np.ndarray:
+        """The number of witnesses of each target."""
+        return np.bincount(self.marked_pairs[0], minlength=len(self.targets))
+
+    @cached_property
+    def incidence(self) -> tuple[tuple[int, ...], ...]:
+        """``incidence[i]`` lists, ascending, the indices into ``candidates``
+        of the witnesses of ``targets[i]``."""
+        flat = tuple(self.marked_pairs[1].tolist())
+        ends = list(accumulate(self.witness_counts.tolist()))
+        return tuple(map(flat.__getitem__, map(slice, chain((0,), ends), ends)))
 
     def witnesses_of(self, s: int) -> tuple[int, ...]:
         """Witness values of target s."""
@@ -93,11 +100,13 @@ class WitnessRelation:
         )
 
     def restrict_targets(self, keep) -> "WitnessRelation":
-        kept = list(map(set(keep).__contains__, self.targets))
+        kept = np.fromiter(map(set(keep).__contains__, self.targets), bool, len(self.targets))
+        target, candidate = self.marked_pairs
+        held = kept[target]
         return replace(
             self,
-            targets=tuple(compress(self.targets, kept)),
-            incidence=tuple(compress(self.incidence, kept)),
+            targets=tuple(compress(self.targets, kept.tolist())),
+            marked_pairs=((np.cumsum(kept) - 1)[target[held]], candidate[held]),
         )
 
     def to_json_dict(self) -> dict:
@@ -108,6 +117,35 @@ class WitnessRelation:
             "incidence": [list(row) for row in self.incidence],
             "full_pool": None if self.full_pool is None else list(self.full_pool),
         }
+
+
+def _fault(target: np.ndarray, candidate: np.ndarray, q: int, m: int) -> str:
+    """What is wrong with the first faulty marked pair: a missing index, an
+    index that is no integer or out of range, or a pair not past the one
+    before it."""
+    k = min(len(target), len(candidate))
+    if len(target) != len(candidate):
+        return (
+            f"marked pair {k} has only one index: {len(target)} target indices "
+            f"against {len(candidate)} candidate indices"
+        )
+    if not (target.dtype.kind in "iu" and candidate.dtype.kind in "iu"):
+        first = f", first pair ({target[0]}, {candidate[0]})" if k else ""
+        return (
+            f"marked pair indices must be integers, got {target.dtype} and "
+            f"{candidate.dtype}{first}"
+        )
+    keys = target * m + candidate
+    outside = (target < 0) | (target >= q) | (candidate < 0) | (candidate >= m)
+    early = np.zeros(k, dtype=bool)
+    early[1:] = keys[1:] <= keys[:-1]
+    k = int(np.argmax(outside | early))
+    pair = f"marked pair ({target[k]}, {candidate[k]})"
+    if outside[k]:
+        return f"{pair} out of range for {q} targets and {m} candidates"
+    if keys[k] == keys[k - 1]:
+        return f"{pair} repeated"
+    return f"{pair} out of order after ({target[k - 1]}, {candidate[k - 1]})"
 
 
 @dataclass(frozen=True)
@@ -131,30 +169,26 @@ def relation_recurrence(seq: Sequence, p: int, q: int) -> WitnessRelation:
     return WitnessRelation(
         targets=targets,
         candidates=(q,),
-        incidence=((0,),) * len(targets),
+        marked_pairs=(np.arange(len(targets)), np.zeros(len(targets), dtype=np.intp)),
         oracle_descriptor=f"s mod {p} == w",
     )
-
-
-def _rows(flat: tuple[int, ...], counts) -> tuple[tuple[int, ...], ...]:
-    """``flat`` cut into consecutive rows of the given lengths."""
-    ends = list(accumulate(counts))
-    return tuple(map(flat.__getitem__, map(slice, chain((0,), ends), ends)))
 
 
 def relation_composite(factored: Factorization) -> WitnessRelation:
     """Divisor relation: primes up to sqrt(max) witness the composite elements.
 
-    A row lists the element's prime factors in the pool other than the element
-    itself, so primes and 1 get empty rows and are not targets, while every
+    An element's witnesses are its prime factors in the pool other than the
+    element itself, so primes and 1 have none and are not targets, while every
     composite has its smallest prime factor, at most sqrt(max), as a witness.
     """
     proper = factored.proper
-    counts = np.bincount(factored.hit_element[proper], minlength=len(factored.elements))
+    element = factored.hit_element[proper]
+    counts = np.bincount(element, minlength=len(factored.elements))
+    target = counts > 0
     return WitnessRelation(
         targets=tuple(compress(factored.elements, counts.tolist())),
         candidates=tuple(factored.primes.tolist()),
-        incidence=_rows(tuple(factored.hit_prime[proper].tolist()), counts[counts > 0].tolist()),
+        marked_pairs=((np.cumsum(target) - 1)[element], factored.hit_prime[proper]),
         oracle_descriptor="w divides s and s != w",
     )
 
@@ -189,12 +223,13 @@ def relation_mobius(factored: Factorization) -> WitnessRelation:
     order = np.lexsort((witness, owner))
     used = np.zeros(len(elements), dtype=bool)
     used[witness] = True
-    column = np.cumsum(used) - 1
-    counts = np.bincount(owner, minlength=len(elements))[target]
     return WitnessRelation(
         targets=tuple(compress(elements, target.tolist())),
         candidates=tuple(compress(elements, used.tolist())),
-        incidence=_rows(tuple(column[witness[order]].tolist()), counts.tolist()),
+        marked_pairs=(
+            (np.cumsum(target) - 1)[owner[order]],
+            (np.cumsum(used) - 1)[witness[order]],
+        ),
         oracle_descriptor="w divides s and s/w is prime",
         full_pool=tuple(compress(elements, odd.tolist())),
     )
@@ -203,17 +238,18 @@ def relation_mobius(factored: Factorization) -> WitnessRelation:
 def relation_identity(satisfying: SatisfyingSet) -> WitnessRelation:
     """Self-pairing relation: every satisfying element witnesses itself."""
     elems = tuple(satisfying.elements)
+    index = np.arange(len(elems))
     return WitnessRelation(
         targets=elems,
         candidates=elems,
-        incidence=tuple(zip(range(len(elems)))),
+        marked_pairs=(index, index),
         oracle_descriptor="s == w",
     )
 
 
 def coverage_check(rel: WitnessRelation) -> CoverageReport:
     """Enumerate uncovered targets, multiply witnessed targets, shared witnesses."""
-    lengths = list(map(len, rel.incidence))
+    lengths = rel.witness_counts.tolist()
     uncovered = tuple(compress(rel.targets, map(not_, lengths)))
     multiply = tuple(compress(zip(rel.targets, lengths), map(lt, repeat(1), lengths)))
     counts = np.bincount(rel.marked_pairs[1], minlength=len(rel.candidates)).tolist()

@@ -12,6 +12,10 @@ classifier in ``qwitness.classify`` against it.
 
 ``decode``, ``indexed_amplitude``, ``indexed_norm`` and ``indexed_support``
 read registers and support-indexed states point by point, for the tests only.
+
+``oracle_of_pairs`` fills an oracle's mask pair by pair, checking each pair
+against the two value sets; tests compare ``MarkedOracle.from_relation``'s
+scatter against it.
 """
 
 from __future__ import annotations
@@ -46,6 +50,19 @@ from qwitness.quantum import (
 )
 from qwitness.quantum import StateVector as IndexedStateVector
 from qwitness.witnesses import WitnessRelation
+
+
+def oracle_of_pairs(s_values, w_values, pairs, descriptor: str) -> MarkedOracle:
+    """The oracle marking exactly the given (s, w) value pairs."""
+    s_values, w_values = tuple(s_values), tuple(w_values)
+    s_index = {s: i for i, s in enumerate(s_values)}
+    w_index = {w: j for j, w in enumerate(w_values)}
+    mask = np.zeros((len(s_values), len(w_values)), dtype=bool)
+    for s, w in pairs:
+        if s not in s_index or w not in w_index:
+            raise DomainError(f"marked pair ({s}, {w}) outside the S x W support")
+        mask[s_index[s], w_index[w]] = True
+    return MarkedOracle(s_values, w_values, mask, descriptor)
 
 
 def decode(layout: RegisterLayout, index: int) -> tuple[int, int, int]:

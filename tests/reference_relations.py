@@ -5,16 +5,33 @@ relation re-tests every element for primality and scans every prime up to
 sqrt(max) against it; the Möbius relation sieves mu up to max(S) and scans
 every target against the whole mu = -1 pool. Tests compare the factoring
 builders in ``qwitness.witnesses`` against them on small inputs.
+
+``relation_of_rows`` builds a relation from per-target rows of candidate
+indices, the shape tests write relations in.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from math import isqrt
+
+import numpy as np
 
 from qwitness.errors import DomainError
 from qwitness.number_theory import is_prime, mobius_sieve, primes_upto
 from qwitness.sequences import Sequence
 from qwitness.witnesses import WitnessRelation
+
+
+def relation_of_rows(targets, candidates, rows, descriptor, full_pool=None) -> WitnessRelation:
+    """The relation whose i-th target is witnessed by the candidates at the
+    indices ``rows[i]``; each row must ascend."""
+    rows = tuple(map(tuple, rows))
+    target = np.repeat(np.arange(len(rows)), list(map(len, rows)))
+    candidate = np.fromiter(chain.from_iterable(rows), np.intp)
+    return WitnessRelation(
+        tuple(targets), tuple(candidates), (target, candidate), descriptor, full_pool
+    )
 
 
 def relation_composite(seq: Sequence) -> WitnessRelation:
@@ -35,12 +52,7 @@ def relation_composite(seq: Sequence) -> WitnessRelation:
         incidence.append(
             tuple(j for j, w in enumerate(candidates) if s % w == 0 and s != w)
         )
-    return WitnessRelation(
-        targets=tuple(targets),
-        candidates=candidates,
-        incidence=tuple(incidence),
-        oracle_descriptor="w divides s and s != w",
-    )
+    return relation_of_rows(targets, candidates, incidence, "w divides s and s != w")
 
 
 def relation_mobius(seq: Sequence) -> WitnessRelation:
@@ -63,10 +75,10 @@ def relation_mobius(seq: Sequence) -> WitnessRelation:
     }
     used = sorted({t for row in rows_by_value.values() for t in row})
     index = {t: j for j, t in enumerate(used)}
-    return WitnessRelation(
-        targets=targets,
-        candidates=tuple(used),
-        incidence=tuple(tuple(index[t] for t in rows_by_value[s]) for s in targets),
-        oracle_descriptor="w divides s and s/w is prime",
-        full_pool=full_pool,
+    return relation_of_rows(
+        targets,
+        used,
+        (tuple(index[t] for t in rows_by_value[s]) for s in targets),
+        "w divides s and s/w is prime",
+        full_pool,
     )

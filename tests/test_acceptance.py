@@ -13,6 +13,7 @@ from math import asin, log2, sin, sqrt
 
 import pytest
 
+from dense_reference import oracle_of_pairs
 from qwitness.classify import schmidt
 from qwitness.cover import (
     DEFAULT_EXACT_THRESHOLD,
@@ -40,12 +41,12 @@ from qwitness.sequences import (
     Sequence,
 )
 from qwitness.witnesses import (
-    WitnessRelation,
     relation_composite,
     relation_identity,
     relation_mobius,
     relation_recurrence,
 )
+from reference_relations import relation_of_rows
 
 
 def _passed(n, text):
@@ -54,16 +55,16 @@ def _passed(n, text):
 
 def synthetic_oracle(n, m):
     s_values = tuple(range(1, n + 1))
-    return MarkedOracle(s_values, (1,), frozenset((s, 1) for s in s_values[:m]), "sweep")
+    return oracle_of_pairs(s_values, (1,), ((s, 1) for s in s_values[:m]), "sweep")
 
 
 def fixture_relation(targets, candidates, rows):
     index = {w: j for j, w in enumerate(candidates)}
-    return WitnessRelation(
-        targets=tuple(targets),
-        candidates=tuple(candidates),
-        incidence=tuple(tuple(sorted(index[w] for w in rows[t])) for t in targets),
-        oracle_descriptor="fixture",
+    return relation_of_rows(
+        targets,
+        candidates,
+        (sorted(index[w] for w in rows[t]) for t in targets),
+        "fixture",
     )
 
 

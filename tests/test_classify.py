@@ -26,12 +26,12 @@ from qwitness.quantum import (
 )
 from qwitness.sequences import SatisfyingSet, Sequence
 from qwitness.witnesses import (
-    WitnessRelation,
     relation_composite,
     relation_identity,
     relation_mobius,
     relation_recurrence,
 )
+from reference_relations import relation_of_rows
 
 
 def block_relation(blocks):
@@ -40,12 +40,7 @@ def block_relation(blocks):
     candidates = tuple(sorted(blocks))
     index = {w: j for j, w in enumerate(candidates)}
     row_of = {s: (index[w],) for w, elems in blocks.items() for s in elems}
-    return WitnessRelation(
-        targets=tuple(targets),
-        candidates=candidates,
-        incidence=tuple(row_of[t] for t in targets),
-        oracle_descriptor="block fixture",
-    )
+    return relation_of_rows(targets, candidates, (row_of[t] for t in targets), "block fixture")
 
 
 def marked_state(relation, s_values=None):
@@ -81,7 +76,7 @@ class TestSchmidt:
 
     def test_mixed_flag_rejected(self):
         state = prepare_superposition([1, 2], [1])
-        oracle = MarkedOracle((1, 2), (1,), frozenset({(1, 1)}), "half")
+        oracle = dense.oracle_of_pairs((1, 2), (1,), {(1, 1)}, "half")
         with pytest.raises(DomainError):
             schmidt(apply_marking(state, oracle))
 
@@ -210,11 +205,11 @@ def states_and_relations(draw):
     else:
         marked = draw(st.sets(st.sampled_from(cells)))
     rows = sorted({i for i, _ in marked} | draw(st.sets(st.sampled_from(range(len(s_values))))))
-    relation = WitnessRelation(
-        targets=tuple(s_values[i] for i in rows),
-        candidates=w_values,
-        incidence=tuple(tuple(sorted(j for k, j in marked if k == i)) for i in rows),
-        oracle_descriptor="random",
+    relation = relation_of_rows(
+        (s_values[i] for i in rows),
+        w_values,
+        (sorted(j for k, j in marked if k == i) for i in rows),
+        "random",
     )
     oracle = MarkedOracle.from_relation(s_values, relation)
     kind = draw(st.sampled_from(["post-selected", "uniform", "free"]))
@@ -273,6 +268,8 @@ class TestMatchesPerPairReference:
 
     def test_registers_must_match_the_oracle(self):
         state, oracle = marked_state(block_relation({2: [4], 3: [6]}))
-        reordered = MarkedOracle(state.s_values[::-1], state.w_values, oracle.marked, "reordered")
+        reordered = dense.oracle_of_pairs(
+            state.s_values[::-1], state.w_values, oracle.marked, "reordered"
+        )
         with pytest.raises(DomainError, match="state value registers differ"):
             classify(state, reordered)

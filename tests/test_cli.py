@@ -424,6 +424,37 @@ class TestConfigAndErrors:
         assert code == 2
         assert capsys.readouterr().err.startswith("qwitness: ")
 
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            ({"out": 1, "format": "csv"}, "out"),
+            ({"out": 7}, "out"),
+            ({"out": 1, "format": "both"}, "out"),
+            ({"out": ["a"]}, "out"),
+            ({"no_quantum": "false"}, "no_quantum"),
+            ({"list": [4, 6.9, 8]}, "list"),
+            ({"qubit_cap": 20.9}, "qubit_cap"),
+            ({"exact_threshold": True}, "exact_threshold"),
+        ],
+        ids=[
+            "out-fd-csv", "out-fd-7", "out-int-both", "out-list", "no-quantum-string",
+            "list-float", "qubit-cap-float", "exact-threshold-bool",
+        ],
+    )
+    def test_config_values_keep_their_json_types(
+        self, tmp_path, monkeypatch, capsys, config, key
+    ):
+        monkeypatch.chdir(tmp_path)
+        sequence = {} if "list" in config else {"range": [2, 30]}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"question": "composite", **sequence, **config}))
+        code = main(["analyze", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(f"qwitness: {key}")
+        assert captured.out == ""
+        assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
+
     def test_no_quantum_flag(self, tmp_path):
         code, out = run(
             tmp_path, "analyze", "--range", "2", "30", "--question", "composite",

@@ -23,22 +23,22 @@ from qwitness.errors import DomainError
 from qwitness.number_theory import factor_elements, squarefree_support
 from qwitness.sequences import SatisfyingSet, Sequence
 from qwitness.witnesses import (
-    WitnessRelation,
     relation_composite,
     relation_identity,
     relation_mobius,
     relation_recurrence,
 )
+from reference_relations import relation_of_rows
 
 
 def make_relation(targets, candidates, rows):
     """rows maps target -> iterable of witness values."""
     index = {w: j for j, w in enumerate(candidates)}
-    return WitnessRelation(
-        targets=tuple(targets),
-        candidates=tuple(candidates),
-        incidence=tuple(tuple(sorted(index[w] for w in rows[t])) for t in targets),
-        oracle_descriptor="test fixture",
+    return relation_of_rows(
+        targets,
+        candidates,
+        (sorted(index[w] for w in rows[t]) for t in targets),
+        "test fixture",
     )
 
 

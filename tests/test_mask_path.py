@@ -39,7 +39,7 @@ from qwitness.quantum import (
     prepare_superposition,
 )
 from qwitness.sequences import IsComposite, MobiusPlusOne, RecurrenceMembership, Sequence
-from qwitness.witnesses import WitnessRelation
+from reference_relations import relation_of_rows
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
 from workloads import DEFAULT_SEED, generate  # noqa: E402
@@ -76,7 +76,7 @@ def relations(draw):
         tuple(sorted(draw(st.sets(st.integers(0, len(candidates) - 1), max_size=len(candidates)))))
         for _ in targets
     )
-    return s_values, WitnessRelation(tuple(targets), tuple(candidates), rows, "random")
+    return s_values, relation_of_rows(targets, candidates, rows, "random")
 
 
 class TestMatchesDenseChain:
@@ -106,13 +106,9 @@ class TestMatchesDenseChain:
             )
             for assignment in (None, mini.assignment):
                 picked = _assigned_relation(restricted, assignment, mini.min_cover)
-                if picked is None:
-                    continue
-                # the same marking as a checked relation, one row per target
-                rows = tuple(zip(picked.marked_pairs[1].tolist()))
-                sub = WitnessRelation(picked.targets, picked.candidates, rows, "assigned")
-                assert (picked.marked_pairs[0] == sub.marked_pairs[0]).all()
-                assert_mask_path_matches_dense(seq.elements, sub)
+                # a checked relation with one witness per target
+                assert (picked.witness_counts == 1).all()
+                assert_mask_path_matches_dense(seq.elements, picked)
             compared += 1
         assert compared == len(distinct)
 

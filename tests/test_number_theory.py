@@ -15,7 +15,6 @@ from qwitness.number_theory import (
     primes_upto,
     recurrence_orbit,
     squarefree_support,
-    trial_divide,
 )
 
 
@@ -100,23 +99,6 @@ class TestFactorize:
 
     def test_prime_square_cofactor(self):
         assert factorize(6 * 1_000_003**2) == {2: 1, 3: 1, 1_000_003: 2}
-
-
-class TestTrialDivide:
-    @given(st.integers(min_value=1, max_value=10**6), st.integers(min_value=1, max_value=1100))
-    def test_cofactor_is_one_or_prime_over_a_root_pool(self, k, bound):
-        # a pool reaching sqrt(k) leaves 1 or a prime; a shorter one may not
-        factors, rest = trial_divide(k, primes_upto(max(bound, isqrt(k))))
-        assert all(trial_division_prime(p) for p in factors)
-        assert rest == 1 or (trial_division_prime(rest) and rest > max(factors, default=1))
-        prod = rest
-        for p, e in factors.items():
-            prod *= p**e
-        assert prod == k
-
-    def test_short_pool_stops_at_its_end(self):
-        assert trial_divide(2 * 3 * 7 * 11, [2, 3]) == ({2: 1, 3: 1}, 77)
-        assert trial_divide(1, [2, 3]) == ({}, 1)
 
 
 class TestPrimesUpto:

@@ -32,7 +32,7 @@ def synthetic_oracle(n, m_marked, w=1):
     """Oracle over s = 1..n, single witness column, first m_marked values marked."""
     s_values = tuple(range(1, n + 1))
     marked = frozenset((s, w) for s in s_values[:m_marked])
-    return MarkedOracle(s_values, (w,), marked, "synthetic")
+    return dense.oracle_of_pairs(s_values, (w,), marked, "synthetic")
 
 
 def marked_mass(final, oracle):
@@ -87,7 +87,7 @@ class TestPrepare:
     ], ids=["small", "past-64-bits"])
     def test_json_entries_in_basis_order(self, s_values, w_values):
         state = prepare_superposition(s_values, w_values, cap=128)
-        oracle = MarkedOracle(s_values, w_values, frozenset({(s_values[0], w_values[1])}), "x")
+        oracle = dense.oracle_of_pairs(s_values, w_values, {(s_values[0], w_values[1])}, "x")
         state = apply_marking(state, oracle)
         layout = state.layout
         expected = sorted(
@@ -122,7 +122,7 @@ class TestMarking:
         assert indexed_amplitude(marked, 5, 2, 0) == pytest.approx(1 / sqrt(2))
 
     def test_all_false_is_identity(self):
-        oracle = MarkedOracle((1, 2), (3,), frozenset(), "never")
+        oracle = dense.oracle_of_pairs((1, 2), (3,), (), "never")
         state = prepare_superposition([1, 2], [3])
         assert np.allclose(apply_marking(state, oracle).amplitudes, state.amplitudes)
 
@@ -284,7 +284,7 @@ class TestCounting:
         rel = relation_composite(factor_elements(Sequence.from_range(2, 30)))
         s_values = tuple(range(30, 1, -1))  # any order of the s register
         oracle = MarkedOracle.from_relation(s_values, rel)
-        by_pairs = MarkedOracle(s_values, rel.candidates, rel.pairs(), "pairs")
+        by_pairs = dense.oracle_of_pairs(s_values, rel.candidates, rel.pairs(), "pairs")
         assert (oracle.mask == by_pairs.mask).all()
         assert oracle.marked == by_pairs.marked == frozenset(rel.pairs())
         assert oracle.marked_count == len(rel.pairs())
@@ -294,7 +294,7 @@ class TestCounting:
         with pytest.raises(DomainError, match=r"marked pair \(9, 3\) outside the S x W support"):
             MarkedOracle.from_relation([5, 6], rel)
         with pytest.raises(DomainError, match=r"marked pair \(9, 3\) outside the S x W support"):
-            MarkedOracle([5, 6], rel.candidates, rel.pairs(), "pairs")
+            dense.oracle_of_pairs([5, 6], rel.candidates, rel.pairs(), "pairs")
         # a target without witnesses marks nothing, so it may be absent
         rel = relation_mobius(factor_elements(Sequence.from_values([1, 2, 3, 6])))
         assert rel.witnesses_of(1) == ()
@@ -339,7 +339,7 @@ def small_oracles(draw):
     w_values = tuple(draw(values))
     pairs = [(s, w) for s in s_values for w in w_values]
     marked = draw(st.sets(st.sampled_from(pairs)))
-    return MarkedOracle(s_values, w_values, frozenset(marked), "random")
+    return dense.oracle_of_pairs(s_values, w_values, frozenset(marked), "random")
 
 
 def assert_same_state(new, old):

@@ -3,6 +3,7 @@ from functools import cache
 from math import isqrt
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -118,7 +119,10 @@ class TestOnePassFactorization:
         factored = factor_elements(seq)
         composite = build_bitstring(seq, IsComposite())
         assert composite.bits == tuple(int(s > 1 and not is_prime(s)) for s in seq)
-        assert relation_composite(factored) == reference.relation_composite(seq)
+        assert (
+            relation_composite(factored).to_json_dict()
+            == reference.relation_composite(seq).to_json_dict()
+        )
         bad = [s for s in seq if mobius(s) == 0]
         with mock.patch.object(reference, "mobius_sieve", _mu_prefix):
             if bad:
@@ -136,7 +140,10 @@ class TestOnePassFactorization:
             else:
                 plus_one = build_bitstring(seq, MobiusPlusOne())
                 assert plus_one.bits == tuple(int(mobius(s) == 1) for s in seq)
-                assert relation_mobius(factored) == reference.relation_mobius(seq)
+                assert (
+                    relation_mobius(factored).to_json_dict()
+                    == reference.relation_mobius(seq).to_json_dict()
+                )
 
 
 class TestRecurrenceRelation:
@@ -188,12 +195,18 @@ class TestCompositeRelation:
     @given(factor_rich_lists())
     @settings(max_examples=150)
     def test_matches_the_scan_builder(self, seq):
-        assert relation_composite(factor_elements(seq)) == reference.relation_composite(seq)
+        assert (
+            relation_composite(factor_elements(seq)).to_json_dict()
+            == reference.relation_composite(seq).to_json_dict()
+        )
 
     @pytest.mark.parametrize("hi", [2, 3, 4, 1500])
     def test_matches_the_scan_builder_on_ranges(self, hi):
         seq = Sequence.from_range(2, hi)
-        assert relation_composite(factor_elements(seq)) == reference.relation_composite(seq)
+        assert (
+            relation_composite(factor_elements(seq)).to_json_dict()
+            == reference.relation_composite(seq).to_json_dict()
+        )
 
     @given(st.integers(min_value=4, max_value=400))
     @settings(max_examples=40)
@@ -233,11 +246,17 @@ class TestMobiusRelation:
     @given(factor_rich_lists(squarefree=True))
     @settings(max_examples=150)
     def test_matches_the_scan_builder(self, seq):
-        assert relation_mobius(factor_elements(seq)) == reference.relation_mobius(seq)
+        assert (
+            relation_mobius(factor_elements(seq)).to_json_dict()
+            == reference.relation_mobius(seq).to_json_dict()
+        )
 
     @pytest.mark.parametrize("n", [1, 2, 300])
     def test_matches_the_scan_builder_on_squarefree_prefixes(self, n):
-        assert relation_mobius(factor_elements(sf_seq(n))) == reference.relation_mobius(sf_seq(n))
+        assert (
+            relation_mobius(factor_elements(sf_seq(n))).to_json_dict()
+            == reference.relation_mobius(sf_seq(n)).to_json_dict()
+        )
 
     @given(factor_rich_lists())
     @settings(max_examples=60)
@@ -313,44 +332,103 @@ class TestRelationMechanics:
     def test_json_round_trip(self):
         rel = relation_mobius(factor_elements(sf_seq(13)))
         d = json.loads(json.dumps(rel.to_json_dict()))
-        assert WitnessRelation(
-            targets=tuple(d["targets"]),
-            candidates=tuple(d["candidates"]),
-            incidence=tuple(tuple(row) for row in d["incidence"]),
-            oracle_descriptor=d["oracle"],
-            full_pool=tuple(d["full_pool"]),
-        ) == rel
+        back = reference.relation_of_rows(
+            d["targets"], d["candidates"], d["incidence"], d["oracle"], tuple(d["full_pool"])
+        )
+        assert back.to_json_dict() == rel.to_json_dict()
+        assert [a.tolist() for a in back.marked_pairs] == [a.tolist() for a in rel.marked_pairs]
 
     def test_invalid_incidence_rejected(self):
-        with pytest.raises(DomainError):
-            WitnessRelation((4,), (2,), ((1,),), "bad index")
-        with pytest.raises(DomainError):
-            WitnessRelation((4,), (2, 3), ((1, 0),), "unsorted row")
+        outside = "out of range for 2 targets and 1 candidates"
+        cases = [
+            # (candidates, target indices, candidate indices, message)
+            ((2,), [0], [1], f"marked pair (0, 1) {outside}"),
+            ((2,), [2], [0], f"marked pair (2, 0) {outside}"),
+            ((2,), [0, -1], [0, 0], f"marked pair (-1, 0) {outside}"),
+            ((2, 3), [0, 0], [1, 0], "marked pair (0, 0) out of order after (0, 1)"),
+            ((2, 3), [1, 0], [0, 1], "marked pair (0, 1) out of order after (1, 0)"),
+            ((2, 3), [0, 1, 1], [1, 0, 0], "marked pair (1, 0) repeated"),
+            ((2, 3), [0, 0], [0], "marked pair 1 has only one index: "
+             "2 target indices against 1 candidate indices"),
+            ((2, 3), [0], [0, 1], "marked pair 1 has only one index: "
+             "1 target indices against 2 candidate indices"),
+        ]
+        for candidates, target, candidate, message in cases:
+            pairs = (np.array(target, dtype=np.intp), np.array(candidate, dtype=np.intp))
+            with pytest.raises(DomainError) as exc:
+                WitnessRelation((4, 6), candidates, pairs, "bad pairs")
+            assert str(exc.value) == message
+        with pytest.raises(DomainError) as exc:
+            WitnessRelation((4,), (2,), (np.array([0.0]), np.array([0.5])), "float")
+        assert str(exc.value) == (
+            "marked pair indices must be integers, got float64 and float64, "
+            "first pair (0.0, 0.5)"
+        )
 
     def test_unordered_pools_are_checked_for_duplicates(self):
-        assert WitnessRelation((4,), (3, 2), ((1,),), "unordered").candidates == (3, 2)
+        pairs = (np.array([0]), np.array([1]))
+        assert WitnessRelation((4,), (3, 2), pairs, "unordered").candidates == (3, 2)
         with pytest.raises(DomainError, match="duplicate-free"):
-            WitnessRelation((4,), (3, 2, 3), ((1,),), "repeated")
+            WitnessRelation((4,), (3, 2, 3), pairs, "repeated")
 
     @given(st.integers(0, 4).flatmap(lambda m: st.tuples(
         st.just(m), st.lists(st.lists(st.integers(-1, m), max_size=4).map(tuple), max_size=5)
     )))
     @settings(max_examples=300)
     def test_rows_are_checked_row_by_row(self, case):
+        # the pairs run row by row; the first one out of range, or not past
+        # the pair before it, is named
         m, rows = case
+        pairs = [(i, j) for i, row in enumerate(rows) for j in row]
         expected = None
-        for row in rows:
-            if list(row) != sorted(set(row)):
-                expected = "incidence rows must be ascending and duplicate-free"
-                break
-            outside = [j for j in row if not 0 <= j < m]
-            if outside:
-                expected = f"incidence index {outside[0]} out of range"
+        for k, (i, j) in enumerate(pairs):
+            if not 0 <= j < m:
+                expected = (
+                    f"marked pair ({i}, {j}) out of range for {len(rows)} targets "
+                    f"and {m} candidates"
+                )
+            elif k and (i, j) == pairs[k - 1]:
+                expected = f"marked pair ({i}, {j}) repeated"
+            elif k and (i, j) < pairs[k - 1]:
+                expected = f"marked pair ({i}, {j}) out of order after {pairs[k - 1]}"
+            if expected is not None:
                 break
         targets = tuple(range(100, 100 + len(rows)))
+        arrays = (
+            np.array([i for i, _ in pairs], dtype=np.intp),
+            np.array([j for _, j in pairs], dtype=np.intp),
+        )
         if expected is None:
-            assert WitnessRelation(targets, tuple(range(m)), tuple(rows), "random").incidence == tuple(rows)
+            rel = WitnessRelation(targets, tuple(range(m)), arrays, "random")
+            assert rel.incidence == tuple(rows)
         else:
             with pytest.raises(DomainError) as exc:
-                WitnessRelation(targets, tuple(range(m)), tuple(rows), "random")
+                WitnessRelation(targets, tuple(range(m)), arrays, "random")
             assert str(exc.value) == expected
+
+    @given(st.integers(0, 5).flatmap(lambda m: st.tuples(
+        st.just(m),
+        st.lists(st.sets(st.integers(0, max(m - 1, 0)), max_size=m).map(sorted).map(tuple),
+                 max_size=6),
+        st.sets(st.integers(0, 5)),
+    )))
+    @settings(max_examples=200)
+    def test_pairs_are_the_rows(self, case):
+        m, rows, keep = case
+        targets = tuple(range(100, 100 + len(rows)))
+        pairs = (
+            np.array([i for i, row in enumerate(rows) for _ in row], dtype=np.intp),
+            np.array([j for row in rows for j in row], dtype=np.intp),
+        )
+        rel = WitnessRelation(targets, tuple(range(m)), pairs, "random")
+        assert rel.incidence == tuple(rows)
+        assert rel.witness_counts.tolist() == list(map(len, rows))
+        kept = rel.restrict_targets(targets[i] for i in keep if i < len(rows))
+        assert kept.targets == tuple(t for i, t in enumerate(targets) if i in keep)
+        assert kept.incidence == tuple(row for i, row in enumerate(rows) if i in keep)
+        d = json.loads(json.dumps(rel.to_json_dict()))
+        back = reference.relation_of_rows(
+            d["targets"], d["candidates"], d["incidence"], d["oracle"]
+        )
+        assert back.to_json_dict() == rel.to_json_dict()
+        assert [a.tolist() for a in back.marked_pairs] == [a.tolist() for a in pairs]
