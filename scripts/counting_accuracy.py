@@ -33,7 +33,7 @@ def main(max_t=12):
     for n, m in cases:
         oc = oracle(n, m)
         for t in range(2, max_t + 1):
-            est = quantum_count(oc, n, phase_bits=t)
+            est = quantum_count(oc, phase_bits=t)
             err = abs(est.estimated_m - m)
             bound = counting_error_bound(n, m, t)
             assert err <= bound, (n, m, t)

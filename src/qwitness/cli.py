@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass
 from functools import cache
 from json.encoder import encode_basestring_ascii
-from math import copysign, inf
+from math import asin, copysign, inf, sqrt
 from operator import itemgetter
 
 from . import __version__
@@ -32,7 +32,15 @@ from .pipeline import (
     quantum_stage,
     witness_stage,
 )
-from .quantum import DEFAULT_PHASE_BITS, DEFAULT_QUBIT_CAP, MAX_PHASE_BITS
+from .quantum import (
+    DEFAULT_PHASE_BITS,
+    DEFAULT_QUBIT_CAP,
+    MAX_PHASE_BITS,
+    amplified_state,
+    grover_iterations_optimal,
+    grover_run,
+    quantum_count,
+)
 from .sequences import (
     IdentityIn,
     IsComposite,
@@ -380,9 +388,10 @@ def cmd_simulate(config: RunConfig) -> int:
     _bits, relation, _faithful = witness_stage(config.sequence, config.question)
     if not relation.candidates:
         raise DomainError("nothing to amplify: the relation has no candidate witnesses")
-    stage = quantum_stage(config.sequence.elements, relation, config.qubit_cap)
-    grover = stage.amplified()  # raises when nothing is marked
-    layout, oracle = stage.layout, stage.oracle
+    layout, oracle = quantum_stage(config.sequence.elements, relation, config.qubit_cap)
+    # raises when nothing is marked
+    iterations = grover_iterations_optimal(oracle.support, oracle.marked_count)
+    trace, final = grover_run(oracle, iterations)
     body = {
         "layout": {
             "s_qubits": layout.s_qubits,
@@ -392,12 +401,12 @@ def cmd_simulate(config: RunConfig) -> int:
         },
         "support": oracle.support,
         "marked_pairs": oracle.marked_count,
-        "optimal_iterations": grover.iterations,
-        "grover_trace": grover.trace,
-        "grover_angle": grover.angle,
-        "counting": stage.count(config.phase_bits).to_json_dict(),
+        "optimal_iterations": iterations,
+        "grover_trace": trace,
+        "grover_angle": asin(sqrt(oracle.marked_count / oracle.support)),
+        "counting": quantum_count(oracle, config.phase_bits).to_json_dict(),
         # nonzero amplitudes of the amplified state as (basis index, re, im)
-        "amplified_state": grover.state.to_json_entries(),
+        "amplified_state": amplified_state(final, oracle, layout).to_json_entries(),
     }
     _write(config.out, emit_json("simulate", body, "simulate", config))
     return 0

@@ -257,6 +257,8 @@ def unique_witness_assignment(
     {target: witness}) when the matching saturates every target and stops at
     the first target it cannot match.
     """
+    if len(rel.targets) > len(rel.candidates):
+        return False, None  # more targets than witnesses: no injection
     incidence = rel.incidence
     match_of: dict[int, int] = {}  # candidate index -> target index
     partner: dict[int, int] = {}  # target index -> candidate index

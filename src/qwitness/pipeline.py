@@ -12,7 +12,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
 from math import asin, sin, sqrt
 
 import numpy as np
@@ -33,7 +32,6 @@ from .quantum import (
     CountEstimate,
     MarkedOracle,
     RegisterLayout,
-    StateVector,
     counting_error_bound,
     grover_iterations_optimal,
     grover_run,
@@ -290,72 +288,17 @@ def witness_stage(
     return replace(bits, factored=None), relation, faithful
 
 
-@dataclass(frozen=True)
-class MarkedStates:
-    """What classification reads: the oracle of one relation, and the one
-    amplitude ``c`` that its post-selected marked state carries on every
-    marked pair (the state is c times the oracle's mask on flag 1)."""
-
-    oracle: MarkedOracle
-    c: float
+def quantum_stage(s_values, relation, qubit_cap: int) -> tuple[RegisterLayout, MarkedOracle]:
+    """Steps 4-5 over one relation: the register layout and the oracle, the
+    one pair every later step reads. The relation needs candidate witnesses;
+    registers past the cap raise QubitCapError before the oracle is built."""
+    layout = RegisterLayout.for_values(s_values, relation.candidates, qubit_cap)
+    return layout, MarkedOracle.from_relation(s_values, relation)
 
 
-@dataclass(frozen=True)
-class Amplification:
-    iterations: int
-    trace: list[float]  # marked probability after 0..iterations rounds
-    final: np.ndarray  # flag-0 amplitudes after the last round, in (s, w) order
-    angle: float  # theta = arcsin(sqrt(M/N))
-    layout: RegisterLayout
-    oracle: MarkedOracle
-
-    @cached_property
-    def state(self) -> StateVector:
-        """The amplified state, built only when it is printed."""
-        shape = self.oracle.mask.shape
-        amps = np.zeros((*shape, 2), dtype=np.complex128)
-        amps[:, :, 0] = self.final.reshape(shape)
-        return StateVector(amps, self.oracle.s_values, self.oracle.w_values, self.layout)
-
-
-@dataclass(frozen=True)
-class QuantumStage:
-    """Steps 4-5 over one relation: the register layout and the oracle, built
-    once. Each later step runs only when a view asks for it, and reads the
-    oracle's mask: no step needs the prepared state itself."""
-
-    layout: RegisterLayout
-    oracle: MarkedOracle
-
-    def count(self, phase_bits: int) -> CountEstimate:
-        return quantum_count(self.oracle, self.oracle.support, phase_bits)
-
-    def amplified(self) -> Amplification:
-        """The optimal number of Grover rounds from the prepared state."""
-        m_marked, support = self.oracle.marked_count, self.oracle.support
-        iterations = grover_iterations_optimal(support, m_marked)
-        trace, final = grover_run(self.oracle, iterations)
-        return Amplification(
-            iterations, trace, final, asin(sqrt(m_marked / support)), self.layout, self.oracle
-        )
-
-    def marked_states(self) -> MarkedStates:
-        """The marked, post-selected state (the last step)."""
-        return MarkedStates(self.oracle, marked_amplitude(self.oracle))
-
-
-def quantum_stage(s_values, relation, qubit_cap: int) -> QuantumStage:
-    """The one builder of the register layout and the oracle. The relation
-    needs candidate witnesses; registers past the cap raise QubitCapError
-    before the oracle is built."""
-    return QuantumStage(
-        RegisterLayout.for_values(s_values, relation.candidates, qubit_cap),
-        MarkedOracle.from_relation(s_values, relation),
-    )
-
-
-def _classified(states: MarkedStates, basis: str) -> ClassifiedState:
-    cls = classify_marked(states.oracle, states.c)
+def _classified(oracle: MarkedOracle, basis: str) -> ClassifiedState:
+    """Classification of the oracle's marked, post-selected state."""
+    cls = classify_marked(oracle, marked_amplitude(oracle))
     return ClassifiedState(
         basis=basis,
         regime=cls.regime.value,
@@ -377,16 +320,16 @@ _TRIVIAL_EMPTY = ClassifiedState(
 
 
 def _run_quantum(seq: Sequence, relation: WitnessRelation, options: AnalyzeOptions):
-    """Counting + amplification cross-checks; returns (block, marked states)."""
+    """Counting + amplification cross-checks; returns (block, the oracle when
+    it marks anything, else None)."""
     if not options.run_quantum:
         return QuantumBlock(skipped=True, reason="disabled by options"), None
     if not relation.candidates:
         return QuantumBlock(skipped=True, reason="no candidate witnesses"), None
     try:
-        stage = quantum_stage(seq.elements, relation, options.qubit_cap)
+        layout, oracle = quantum_stage(seq.elements, relation, options.qubit_cap)
     except QubitCapError as exc:
         return QuantumBlock(skipped=True, reason=str(exc)), None
-    layout, oracle = stage.layout, stage.oracle
     m_marked = oracle.marked_count
     block = QuantumBlock(
         skipped=False,
@@ -395,22 +338,22 @@ def _run_quantum(seq: Sequence, relation: WitnessRelation, options: AnalyzeOptio
         total_qubits=layout.total_qubits,
         support=oracle.support,
         marked_pairs=m_marked,
-        counting=stage.count(options.phase_bits),
+        counting=quantum_count(oracle, options.phase_bits),
     )
     if not m_marked:
         return block, None
-    grover = stage.amplified()
-    states = stage.marked_states()
+    iterations = grover_iterations_optimal(oracle.support, m_marked)
+    trace, _final = grover_run(oracle, iterations)
     block = replace(
         block,
-        grover_iterations=grover.iterations,
-        grover_success=grover.trace[-1],
-        grover_closed_form=sin((2 * grover.iterations + 1) * grover.angle) ** 2,
+        grover_iterations=iterations,
+        grover_success=trace[-1],
+        grover_closed_form=sin((2 * iterations + 1) * asin(sqrt(m_marked / oracle.support))) ** 2,
         # the mask is the post-selected support by construction; this checks
         # that the scatter kept every marked pair
         post_support_matches_pairs=oracle.marked_count == len(relation.marked_pairs[0]),
     )
-    return block, states
+    return block, oracle
 
 
 def _assigned_relation(
@@ -482,7 +425,7 @@ def analyze(
     ratio = Fraction(verdict.m, verdict.q) if verdict.q else None
 
     with _stage("quantum"):
-        quantum_block, raw_states = _run_quantum(seq, relation, options)
+        quantum_block, raw_oracle = _run_quantum(seq, relation, options)
 
     raw_class = None
     assigned_class = None
@@ -498,15 +441,15 @@ def analyze(
                 reason = "nothing is marked"
             else:
                 try:
-                    states = quantum_stage(seq.elements, sub, options.qubit_cap).marked_states()
-                    return _classified(states, basis)
+                    _layout, oracle = quantum_stage(seq.elements, sub, options.qubit_cap)
+                    return _classified(oracle, basis)
                 except QubitCapError as exc:
                     reason = str(exc)
             notes.append(f"{basis} classification skipped: {reason}")
             return None
 
-        if raw_states is not None:
-            raw_class = _classified(raw_states, basis="oracle")
+        if raw_oracle is not None:
+            raw_class = _classified(raw_oracle, basis="oracle")
         if raw_class is not None and raw_class.regime == RandomnessRegime.NON_CANONICAL.value:
             # two one-witness-per-element readings of a multi-witness support:
             # the injective assignment when it saturates, and the cover-based

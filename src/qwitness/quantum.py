@@ -33,6 +33,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
 from math import cos, floor, pi, sqrt
+from typing import ClassVar
 
 import numpy as np
 
@@ -62,7 +63,7 @@ def _qubits_for(vmax: int) -> int:
 class RegisterLayout:
     s_qubits: int
     w_qubits: int
-    flag_qubits: int = 1
+    flag_qubits: ClassVar[int] = 1
 
     @property
     def total_qubits(self) -> int:
@@ -107,9 +108,9 @@ class StateVector:
         if abs(_norm(self.amplitudes) - 1.0) > _NORM_TOL:
             raise DomainError("state vector must have unit norm")
 
-    def to_json_entries(self, tol: float = _AMPLITUDE_TOL) -> list[list]:
+    def to_json_entries(self) -> list[list]:
         """[basis index, re, im] for every configuration carrying weight, in basis order."""
-        rows, cols, flags = np.nonzero(np.abs(self.amplitudes) > tol)
+        rows, cols, flags = np.nonzero(np.abs(self.amplitudes) > _AMPLITUDE_TOL)
         # indices of layouts past 63 qubits stay exact Python ints
         dtype = np.int64 if self.layout.total_qubits < 64 else object
         index = (
@@ -122,6 +123,14 @@ class StateVector:
         return list(map(list, zip(index[order].tolist(), values.real.tolist(), values.imag.tolist())))
 
 
+def amplified_state(final: np.ndarray, oracle: MarkedOracle, layout: RegisterLayout) -> StateVector:
+    """Grover's final state from ``final``, the flag-0 slice ``grover_run`` returns."""
+    shape = oracle.mask.shape
+    amps = np.zeros((*shape, 2), dtype=np.complex128)
+    amps[:, :, 0] = final.reshape(shape)
+    return StateVector(amps, oracle.s_values, oracle.w_values, layout)
+
+
 class MarkedOracle:
     """Truth table of the marking rule over the s and w value sets.
 
@@ -130,12 +139,10 @@ class MarkedOracle:
     ``marked``, is made only when read.
     """
 
-    def __init__(self, s_values: tuple, w_values: tuple, mask: np.ndarray, descriptor: str):
+    def __init__(self, s_values: tuple, w_values: tuple, mask: np.ndarray):
         if mask.shape != (len(s_values), len(w_values)):
             raise DomainError("oracle mask does not match the value registers")
-        self.s_values, self.w_values, self.mask, self.descriptor = (
-            s_values, w_values, mask, descriptor
-        )
+        self.s_values, self.w_values, self.mask = s_values, w_values, mask
         self.marked_count = int(np.count_nonzero(mask))
 
     @classmethod
@@ -153,7 +160,7 @@ class MarkedOracle:
             raise DomainError(f"marked pair ({t}, {w}) outside the S x W support")
         mask = np.zeros((len(s_values), len(relation.candidates)), dtype=bool)
         mask[rows, candidate] = True
-        return cls(s_values, relation.candidates, mask, relation.oracle_descriptor)
+        return cls(s_values, relation.candidates, mask)
 
     @cached_property
     def marked(self) -> frozenset[tuple[int, int]]:
@@ -196,13 +203,13 @@ def apply_marking(state: StateVector, oracle: MarkedOracle) -> StateVector:
     return StateVector(amps, oracle.s_values, oracle.w_values, state.layout)
 
 
-def grover_iterations_optimal(n_total: int, n_marked: int) -> int:
+def grover_iterations_optimal(support: int, n_marked: int) -> int:
     """floor((pi/4) * sqrt(N/M)), the standard near-optimal iteration count."""
     if n_marked < 1:
         raise DomainError("nothing to amplify: no marked configurations")
-    if n_marked > n_total:
+    if n_marked > support:
         raise DomainError("marked count cannot exceed the support size")
-    return floor((pi / 4.0) * sqrt(n_total / n_marked))
+    return floor((pi / 4.0) * sqrt(support / n_marked))
 
 
 def grover_run(oracle: MarkedOracle, iterations: int) -> tuple[list[float], np.ndarray]:
@@ -256,13 +263,13 @@ def _cospi(x: float) -> float:
     return cos(pi * x)
 
 
-def counting_error_bound(n_total: int, n_marked: int, phase_bits: int) -> float:
+def counting_error_bound(support: int, n_marked: int, phase_bits: int) -> float:
     """Standard phase-estimation error bound on the counted M."""
     step = pi / (1 << phase_bits)
-    return 2.0 * sqrt(n_marked * n_total) * step + n_total * step * step
+    return 2.0 * sqrt(n_marked * support) * step + support * step * step
 
 
-def quantum_count(oracle: MarkedOracle, n_total: int, phase_bits: int) -> CountEstimate:
+def quantum_count(oracle: MarkedOracle, phase_bits: int) -> CountEstimate:
     """Phase estimation over the amplification operator, read out exactly.
 
     The operator rotates the support plane by 2*theta with
@@ -276,10 +283,6 @@ def quantum_count(oracle: MarkedOracle, n_total: int, phase_bits: int) -> CountE
     """
     if not 1 <= phase_bits <= MAX_PHASE_BITS:
         raise DomainError(f"phase register needs 1..{MAX_PHASE_BITS} bits, got {phase_bits}")
-    if n_total != oracle.support:
-        raise DomainError(
-            f"support size {n_total} does not match the oracle's {oracle.support}"
-        )
     n_points = oracle.support
     n_marked = oracle.marked_count
     t_dim = 1 << phase_bits

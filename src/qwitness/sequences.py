@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import DomainError
 from .number_theory import (
+    _SIEVE_LIMIT,
     U64_MAX,
     Factorization,
     _check_u64,
@@ -59,6 +60,10 @@ class Sequence:
     def from_range(cls, lo: int, hi: int) -> "Sequence":
         if hi < lo:
             raise DomainError(f"empty range [{lo}, {hi}]")
+        if hi - lo + 1 > _SIEVE_LIMIT:
+            raise DomainError(
+                f"range [{lo}, {hi}] spans {hi - lo + 1} integers, past the {_SIEVE_LIMIT} guard"
+            )
         return cls(tuple(range(lo, hi + 1)), label=f"range[{lo},{hi}]")
 
     @classmethod

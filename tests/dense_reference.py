@@ -52,7 +52,7 @@ from qwitness.quantum import StateVector as IndexedStateVector
 from qwitness.witnesses import WitnessRelation
 
 
-def oracle_of_pairs(s_values, w_values, pairs, descriptor: str) -> MarkedOracle:
+def oracle_of_pairs(s_values, w_values, pairs) -> MarkedOracle:
     """The oracle marking exactly the given (s, w) value pairs."""
     s_values, w_values = tuple(s_values), tuple(w_values)
     s_index = {s: i for i, s in enumerate(s_values)}
@@ -62,7 +62,7 @@ def oracle_of_pairs(s_values, w_values, pairs, descriptor: str) -> MarkedOracle:
         if s not in s_index or w not in w_index:
             raise DomainError(f"marked pair ({s}, {w}) outside the S x W support")
         mask[s_index[s], w_index[w]] = True
-    return MarkedOracle(s_values, w_values, mask, descriptor)
+    return MarkedOracle(s_values, w_values, mask)
 
 
 def decode(layout: RegisterLayout, index: int) -> tuple[int, int, int]:
@@ -222,7 +222,7 @@ def grover_trace(state: StateVector, oracle: MarkedOracle, max_iterations: int) 
     return trace
 
 
-def quantum_count(oracle: MarkedOracle, n_total: int, phase_bits: int) -> CountEstimate:
+def quantum_count(oracle: MarkedOracle, phase_bits: int) -> CountEstimate:
     """Phase estimation over the amplification operator, read out exactly.
 
     The operator rotates the support plane by 2*theta with
@@ -235,10 +235,6 @@ def quantum_count(oracle: MarkedOracle, n_total: int, phase_bits: int) -> CountE
     """
     if phase_bits < 1:
         raise DomainError("phase register needs at least one bit")
-    if n_total != oracle.support:
-        raise DomainError(
-            f"support size {n_total} does not match the oracle's {oracle.support}"
-        )
     n_points = oracle.support
     marked_mask = np.array(
         [(s, w) in oracle.marked for s in oracle.s_values for w in oracle.w_values],

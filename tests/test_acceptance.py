@@ -55,7 +55,7 @@ def _passed(n, text):
 
 def synthetic_oracle(n, m):
     s_values = tuple(range(1, n + 1))
-    return oracle_of_pairs(s_values, (1,), ((s, 1) for s in s_values[:m]), "sweep")
+    return oracle_of_pairs(s_values, (1,), ((s, 1) for s in s_values[:m]))
 
 
 def fixture_relation(targets, candidates, rows):
@@ -157,7 +157,7 @@ def test_criterion_5_quantum_counting():
     checked = 0
     for n in (2, 3, 4, 5, 8, 13, 16, 21, 32):
         for m in range(0, n + 1):
-            est = quantum_count(synthetic_oracle(n, m), n, phase_bits=10)
+            est = quantum_count(synthetic_oracle(n, m), phase_bits=10)
             assert abs(est.estimated_m - m) <= counting_error_bound(n, m, 10), (n, m)
             checked += 1
     # question-derived relations with support <= 32
@@ -173,11 +173,11 @@ def test_criterion_5_quantum_counting():
         oracle = MarkedOracle.from_relation(s_values, rel)
         n, m = oracle.support, len(oracle.marked)
         assert n <= 32
-        est = quantum_count(oracle, n, phase_bits=10)
+        est = quantum_count(oracle, phase_bits=10)
         assert abs(est.estimated_m - m) <= counting_error_bound(n, m, 10)
         checked += 1
     # the exactly representable case
-    exact = quantum_count(synthetic_oracle(4, 2), 4, phase_bits=2)
+    exact = quantum_count(synthetic_oracle(4, 2), phase_bits=2)
     assert exact.exact
     assert exact.estimated_m == 2.0
     assert exact.probability == pytest.approx(1.0, abs=1e-12)

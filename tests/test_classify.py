@@ -76,7 +76,7 @@ class TestSchmidt:
 
     def test_mixed_flag_rejected(self):
         state = prepare_superposition([1, 2], [1])
-        oracle = dense.oracle_of_pairs((1, 2), (1,), {(1, 1)}, "half")
+        oracle = dense.oracle_of_pairs((1, 2), (1,), {(1, 1)})
         with pytest.raises(DomainError):
             schmidt(apply_marking(state, oracle))
 
@@ -269,7 +269,7 @@ class TestMatchesPerPairReference:
     def test_registers_must_match_the_oracle(self):
         state, oracle = marked_state(block_relation({2: [4], 3: [6]}))
         reordered = dense.oracle_of_pairs(
-            state.s_values[::-1], state.w_values, oracle.marked, "reordered"
+            state.s_values[::-1], state.w_values, oracle.marked
         )
         with pytest.raises(DomainError, match="state value registers differ"):
             classify(state, reordered)

@@ -407,10 +407,12 @@ class TestConfigAndErrors:
             (["--question", "even"], None, {"range": [2, 10], "phase_bits": "x"}),
             (["--range", "2", "50", "--question", "composite", "--phase-bits", "30"], None, None),
             (["--range", "2", "50", "--question", "composite", "--phase-bits", "40"], None, None),
+            # refused before the range is built; the tuple alone would not fit
+            (["--range", "1", "1000000000000", "--question", "even"], None, None),
         ],
         ids=[
             "list-element", "env-ceiling", "range-arity", "config-phase-bits",
-            "phase-bits-30", "phase-bits-40",
+            "phase-bits-30", "phase-bits-40", "range-span",
         ],
     )
     def test_malformed_numbers_exit_two(self, tmp_path, monkeypatch, capsys, argv, env, config):

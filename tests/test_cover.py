@@ -325,6 +325,13 @@ class TestUniqueWitnessAssignment:
         ok, assignment = unique_witness_assignment(rel)
         assert not ok and assignment is None
 
+    def test_more_targets_than_witnesses_builds_no_rows(self):
+        rel = relation_composite(factor_elements(Sequence.from_range(2, 100)))
+        assert len(rel.targets) > len(rel.candidates)
+        assert unique_witness_assignment(rel) == (False, None)
+        # the pigeonhole count answers before the per-target rows are read
+        assert "incidence" not in rel.__dict__
+
     def test_identity(self):
         rel = relation_identity(SatisfyingSet((3, 9)))
         ok, assignment = unique_witness_assignment(rel)

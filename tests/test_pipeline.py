@@ -14,9 +14,10 @@ import qwitness.sequences
 import qwitness.witnesses
 from qwitness.cli import main
 from qwitness.cover import Regime
+from qwitness.errors import QubitCapError
 from qwitness.number_theory import primes_upto, squarefree_support
-from qwitness.pipeline import AnalyzeOptions, analyze, cross_check
-from qwitness.quantum import StateVector
+from qwitness.pipeline import AnalyzeOptions, analyze, cross_check, quantum_stage, witness_stage
+from qwitness.quantum import MarkedOracle, StateVector
 from qwitness.sequences import (
     IdentityIn,
     IsComposite,
@@ -163,6 +164,20 @@ class TestCrossCheck:
         assert report.quantum.skipped
         findings = cross_check(report)
         assert any(f.startswith("quantum stage skipped") for f in findings)
+
+    def test_cap_is_checked_before_the_oracle_is_built(self, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("the oracle was built past the qubit cap")
+
+        monkeypatch.setattr(MarkedOracle, "from_relation", refuse)
+        seq = Sequence.from_range(2, 100)
+        _bits, relation, _faithful = witness_stage(seq, IsComposite())
+        reason = "11 qubits needed (s:7 w:3 flag:1) exceeds cap 5"
+        with pytest.raises(QubitCapError) as exc:
+            quantum_stage(seq.elements, relation, 5)
+        assert str(exc.value) == reason
+        report = analyze(seq, IsComposite(), AnalyzeOptions(qubit_cap=5))
+        assert report.quantum.skipped and report.quantum.reason == reason
 
     def test_counting_agrees_with_classical_tally(self):
         report = analyze(Sequence.from_range(2, 100), IsComposite())

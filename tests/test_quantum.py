@@ -32,7 +32,7 @@ def synthetic_oracle(n, m_marked, w=1):
     """Oracle over s = 1..n, single witness column, first m_marked values marked."""
     s_values = tuple(range(1, n + 1))
     marked = frozenset((s, w) for s in s_values[:m_marked])
-    return dense.oracle_of_pairs(s_values, (w,), marked, "synthetic")
+    return dense.oracle_of_pairs(s_values, (w,), marked)
 
 
 def marked_mass(final, oracle):
@@ -87,7 +87,7 @@ class TestPrepare:
     ], ids=["small", "past-64-bits"])
     def test_json_entries_in_basis_order(self, s_values, w_values):
         state = prepare_superposition(s_values, w_values, cap=128)
-        oracle = dense.oracle_of_pairs(s_values, w_values, {(s_values[0], w_values[1])}, "x")
+        oracle = dense.oracle_of_pairs(s_values, w_values, {(s_values[0], w_values[1])})
         state = apply_marking(state, oracle)
         layout = state.layout
         expected = sorted(
@@ -122,7 +122,7 @@ class TestMarking:
         assert indexed_amplitude(marked, 5, 2, 0) == pytest.approx(1 / sqrt(2))
 
     def test_all_false_is_identity(self):
-        oracle = dense.oracle_of_pairs((1, 2), (3,), (), "never")
+        oracle = dense.oracle_of_pairs((1, 2), (3,), ())
         state = prepare_superposition([1, 2], [3])
         assert np.allclose(apply_marking(state, oracle).amplitudes, state.amplitudes)
 
@@ -201,7 +201,7 @@ class TestAmplify:
 class TestCounting:
     def test_half_marked_is_exact(self):
         oracle = synthetic_oracle(4, 2)
-        est = quantum_count(oracle, 4, phase_bits=2)
+        est = quantum_count(oracle, phase_bits=2)
         assert est.exact
         assert est.phase == Fraction(1, 4)
         assert est.probability == pytest.approx(1.0, abs=1e-9)
@@ -209,21 +209,21 @@ class TestCounting:
 
     def test_nothing_marked(self):
         oracle = synthetic_oracle(4, 0)
-        est = quantum_count(oracle, 4, phase_bits=3)
+        est = quantum_count(oracle, phase_bits=3)
         assert est.exact
         assert est.phase == Fraction(0, 1)
         assert est.estimated_m == 0.0
 
     def test_all_marked(self):
         oracle = synthetic_oracle(8, 8)
-        est = quantum_count(oracle, 8, phase_bits=3)
+        est = quantum_count(oracle, phase_bits=3)
         assert est.exact
         assert est.phase == Fraction(1, 2)
         assert est.estimated_m == 8.0
 
     def test_four_one_t8(self):
         oracle = synthetic_oracle(4, 1)
-        est = quantum_count(oracle, 4, phase_bits=8)
+        est = quantum_count(oracle, phase_bits=8)
         assert abs(est.estimated_m - 1) < 0.2
         assert not est.exact
 
@@ -231,19 +231,14 @@ class TestCounting:
         for n in (2, 3, 5, 8, 13, 21, 32):
             for m in range(0, n + 1, max(1, n // 4)):
                 oracle = synthetic_oracle(n, m)
-                est = quantum_count(oracle, n, phase_bits=10)
+                est = quantum_count(oracle, phase_bits=10)
                 bound = counting_error_bound(n, m, 10)
                 assert abs(est.estimated_m - m) <= bound, (n, m, est)
-
-    def test_support_cross_checked(self):
-        oracle = synthetic_oracle(4, 2)
-        with pytest.raises(DomainError):
-            quantum_count(oracle, 5, phase_bits=3)
 
     @pytest.mark.parametrize("t", [0, MAX_PHASE_BITS + 1, 40])
     def test_phase_register_bounded_before_allocation(self, t):
         with pytest.raises(DomainError):
-            quantum_count(synthetic_oracle(4, 2), 4, phase_bits=t)
+            quantum_count(synthetic_oracle(4, 2), phase_bits=t)
 
     @pytest.mark.parametrize(
         "n,m,t", [(8, 2, 4), (16, 3, 6), (32, 5, 8), (20, 7, 5), (24, 11, 7)]
@@ -270,7 +265,7 @@ class TestCounting:
             folded[kc] = folded.get(kc, 0.0) + p
         k_best = max(folded, key=folded.get)
 
-        est = quantum_count(synthetic_oracle(n, m), n, phase_bits=t)
+        est = quantum_count(synthetic_oracle(n, m), phase_bits=t)
         assert est.phase == Fraction(k_best, 2**t)
         assert est.probability == pytest.approx(folded[k_best], abs=1e-9)
         assert est.estimated_m == pytest.approx(n * sin(pi * k_best / 2**t) ** 2, abs=1e-9)
@@ -284,7 +279,7 @@ class TestCounting:
         rel = relation_composite(factor_elements(Sequence.from_range(2, 30)))
         s_values = tuple(range(30, 1, -1))  # any order of the s register
         oracle = MarkedOracle.from_relation(s_values, rel)
-        by_pairs = dense.oracle_of_pairs(s_values, rel.candidates, rel.pairs(), "pairs")
+        by_pairs = dense.oracle_of_pairs(s_values, rel.candidates, rel.pairs())
         assert (oracle.mask == by_pairs.mask).all()
         assert oracle.marked == by_pairs.marked == frozenset(rel.pairs())
         assert oracle.marked_count == len(rel.pairs())
@@ -294,7 +289,7 @@ class TestCounting:
         with pytest.raises(DomainError, match=r"marked pair \(9, 3\) outside the S x W support"):
             MarkedOracle.from_relation([5, 6], rel)
         with pytest.raises(DomainError, match=r"marked pair \(9, 3\) outside the S x W support"):
-            dense.oracle_of_pairs([5, 6], rel.candidates, rel.pairs(), "pairs")
+            dense.oracle_of_pairs([5, 6], rel.candidates, rel.pairs())
         # a target without witnesses marks nothing, so it may be absent
         rel = relation_mobius(factor_elements(Sequence.from_values([1, 2, 3, 6])))
         assert rel.witnesses_of(1) == ()
@@ -339,7 +334,7 @@ def small_oracles(draw):
     w_values = tuple(draw(values))
     pairs = [(s, w) for s in s_values for w in w_values]
     marked = draw(st.sets(st.sampled_from(pairs)))
-    return dense.oracle_of_pairs(s_values, w_values, frozenset(marked), "random")
+    return dense.oracle_of_pairs(s_values, w_values, frozenset(marked))
 
 
 def assert_same_state(new, old):
@@ -376,8 +371,8 @@ class TestMatchesDenseReference:
             for i, re, im in old.to_json_entries()
         ]
 
-        count = quantum_count(oracle, oracle.support, t)
-        reference = dense.quantum_count(oracle, oracle.support, t)
+        count = quantum_count(oracle, t)
+        reference = dense.quantum_count(oracle, t)
         assert count.phase == reference.phase
         assert count.estimated_m == reference.estimated_m
         assert count.exact == reference.exact

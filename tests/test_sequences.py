@@ -47,6 +47,10 @@ class TestSequence:
         assert s.elements == (2, 3, 4, 5)
         assert s.max == 5
 
+    def test_from_range_refuses_a_span_past_the_sieve_guard(self):
+        with pytest.raises(DomainError, match=r"spans 1000000000000 integers, past the 200000000"):
+            Sequence.from_range(1, 10**12)
+
     @pytest.mark.parametrize("elements, message", [
         ((5, 3, -1), "sequence element must be in [0, 2^64), got -1"),
         ((5, 3, 0), "sequence element 0 must be >= 1"),
