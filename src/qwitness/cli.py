@@ -71,20 +71,9 @@ _QUESTIONS = ("recurrence", "composite", "mobius-plus-one", "even", "prime", "id
 class RunConfig:
     sequence: Sequence
     question: Question
-    qubit_cap: int
-    phase_bits: int
-    exact_threshold: int
+    options: AnalyzeOptions
     out: str | None
     format: str
-    no_quantum: bool
-
-    def options(self) -> AnalyzeOptions:
-        return AnalyzeOptions(
-            qubit_cap=self.qubit_cap,
-            phase_bits=self.phase_bits,
-            exact_threshold=self.exact_threshold,
-            run_quantum=not self.no_quantum,
-        )
 
 
 def _merged(args: argparse.Namespace) -> dict:
@@ -97,8 +86,9 @@ def _merged(args: argparse.Namespace) -> dict:
                 loaded = json.load(fh)
         except OSError as exc:
             raise DomainError(f"cannot read config file: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise DomainError(f"config file is not valid JSON: {exc}") from exc
+        except (ValueError, RecursionError) as exc:
+            # not UTF-8, not JSON, or nested past the recursion limit
+            raise DomainError(f"config file {args.config} is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise DomainError("config file must hold a JSON object")
         unknown = set(loaded) - (
@@ -198,10 +188,19 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if fmt not in ("json", "csv", "both"):
         raise DomainError(f"unknown format {fmt!r}")
     out = merged.get("out")
-    if out is not None and not isinstance(out, str):
-        raise DomainError(f"out must be a path or null, got {out!r}")
+    if out is not None:
+        if not isinstance(out, str):
+            raise DomainError(f"out must be a path or null, got {out!r}")
+        try:
+            # a lone surrogate has no bytes, and a path ends at a null byte
+            if b"\0" in os.fsencode(out):
+                raise ValueError("embedded null byte")
+        except ValueError as exc:
+            raise DomainError(f"out {out!r} is not a file name: {exc}") from exc
     if fmt == "both" and out is None:
         raise DomainError("--format both needs --out to place the two files")
+    if fmt == "both" and _csv_path(out) == out:
+        raise DomainError(f"--format both would write the CSV over the report at {out!r}")
     phase_bits = _integer(merged["phase_bits"], "phase_bits")
     if not 1 <= phase_bits <= MAX_PHASE_BITS:
         raise DomainError(f"--phase-bits must be in 1..{MAX_PHASE_BITS}, got {phase_bits}")
@@ -211,16 +210,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     no_quantum = merged["no_quantum"]
     if not isinstance(no_quantum, bool):
         raise DomainError(f"no_quantum must be true or false, got {no_quantum!r}")
-    return RunConfig(
-        sequence=seq,
-        question=question,
-        qubit_cap=qubit_cap,
-        phase_bits=phase_bits,
-        exact_threshold=exact_threshold,
-        out=out,
-        format=fmt,
-        no_quantum=no_quantum,
-    )
+    options = AnalyzeOptions(qubit_cap, phase_bits, exact_threshold, run_quantum=not no_quantum)
+    return RunConfig(seq, question, options, out, fmt)
 
 
 _INDENT = "  "
@@ -321,15 +312,16 @@ def _encode(value, level: int, floats: _FloatText) -> str:
 def emit_json(body_key: str, body: dict, command: str, config: RunConfig) -> str:
     """The canonical report text: ``json.dumps(indent=2)`` with every float
     rounded to 12 significant digits, written in one pass."""
+    options = config.options
     envelope = {
         "meta": {
             "generator": f"qwitness {__version__}",
             "command": command,
             "options": {
-                "qubit_cap": config.qubit_cap,
-                "phase_bits": config.phase_bits,
-                "exact_threshold": config.exact_threshold,
-                "no_quantum": config.no_quantum,
+                "qubit_cap": options.qubit_cap,
+                "phase_bits": options.phase_bits,
+                "exact_threshold": options.exact_threshold,
+                "no_quantum": not options.run_quantum,
             },
         },
         body_key: body,
@@ -351,7 +343,7 @@ def _csv_path(out: str) -> str:
 
 
 def cmd_analyze(config: RunConfig) -> int:
-    report = analyze(config.sequence, config.question, config.options())
+    report = analyze(config.sequence, config.question, config.options)
     body = report.to_dict()
     body["findings"] = cross_check(report)
     if config.format in ("json", "both"):
@@ -365,7 +357,7 @@ def cmd_analyze(config: RunConfig) -> int:
 def cmd_witness(config: RunConfig) -> int:
     _bits, relation, _faithful = witness_stage(config.sequence, config.question)
     coverage = coverage_check(relation)
-    _restricted, mini = minimize_covered(relation, coverage, config.exact_threshold)
+    mini = minimize_covered(relation, coverage, config.options.exact_threshold)
     body = {
         "relation": relation.to_json_dict(),
         "coverage": {
@@ -373,12 +365,7 @@ def cmd_witness(config: RunConfig) -> int:
             "multiply_witnessed": [list(x) for x in coverage.multiply_witnessed],
             "shared_witnesses": [list(x) for x in coverage.shared_witnesses],
         },
-        "covers": covers_dict(
-            mini.min_cover,
-            mini.exact_cover,
-            None if mini.assignment is None else mini.assignment.items(),
-            certificate=False,
-        ),
+        "covers": covers_dict(mini, certificate=False),
     }
     _write(config.out, emit_json("witness", body, "witness", config))
     return 0
@@ -388,7 +375,7 @@ def cmd_simulate(config: RunConfig) -> int:
     _bits, relation, _faithful = witness_stage(config.sequence, config.question)
     if not relation.candidates:
         raise DomainError("nothing to amplify: the relation has no candidate witnesses")
-    layout, oracle = quantum_stage(config.sequence.elements, relation, config.qubit_cap)
+    layout, oracle = quantum_stage(config.sequence.elements, relation, config.options.qubit_cap)
     # raises when nothing is marked
     iterations = grover_iterations_optimal(oracle.support, oracle.marked_count)
     trace, final = grover_run(oracle, iterations)
@@ -404,7 +391,7 @@ def cmd_simulate(config: RunConfig) -> int:
         "optimal_iterations": iterations,
         "grover_trace": trace,
         "grover_angle": asin(sqrt(oracle.marked_count / oracle.support)),
-        "counting": quantum_count(oracle, config.phase_bits).to_json_dict(),
+        "counting": quantum_count(oracle, config.options.phase_bits).to_json_dict(),
         # nonzero amplitudes of the amplified state as (basis index, re, im)
         "amplified_state": amplified_state(final, oracle, layout).to_json_entries(),
     }

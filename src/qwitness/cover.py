@@ -45,13 +45,12 @@ class Regime(enum.Enum):
 @dataclass(frozen=True)
 class CoverSolution:
     chosen: tuple[int, ...]  # witness values, ascending
-    m: int
     kind: CoverKind
     certificate: str = ""
 
-    def __post_init__(self):
-        if self.m != len(self.chosen):
-            raise DomainError("cover size must equal the number of chosen witnesses")
+    @property
+    def m(self) -> int:
+        return len(self.chosen)
 
 
 @dataclass(frozen=True)
@@ -204,14 +203,13 @@ def min_set_cover(
     """
     _require_covered(rel)
     if not rel.targets:
-        return CoverSolution((), 0, CoverKind.EXACT_MINIMUM, "empty target set")
+        return CoverSolution((), CoverKind.EXACT_MINIMUM, "empty target set")
     full, masks = _masks(rel) if masks is None else masks
     values = rel.candidates
     greedy = _greedy_cover(full, masks, values)
     if len(rel.targets) > exact_threshold:
         return CoverSolution(
             tuple(sorted(values[j] for j in greedy)),
-            len(greedy),
             CoverKind.GREEDY,
             f"heuristic: {len(rel.targets)} targets exceed the exactness threshold "
             f"{exact_threshold}",
@@ -219,7 +217,6 @@ def min_set_cover(
     chosen = _least_cover(full, masks, len(greedy), disjoint=False)
     return CoverSolution(
         tuple(values[j] for j in chosen),
-        len(chosen),
         CoverKind.EXACT_MINIMUM,
         "branch-and-bound proved no smaller cover exists",
     )
@@ -236,16 +233,14 @@ def exact_cover(
     """
     _require_covered(rel)
     if not rel.targets:
-        return CoverSolution((), 0, CoverKind.EXACT_COVER, "empty target set")
+        return CoverSolution((), CoverKind.EXACT_COVER, "empty target set")
     full, masks = _masks(rel) if masks is None else masks
     chosen = _least_cover(full, masks, len(masks), disjoint=True)
     if chosen is None:
         return CoverSolution(
-            (), 0, CoverKind.NO_COVER, "every covering subset covers some target twice"
+            (), CoverKind.NO_COVER, "every covering subset covers some target twice"
         )
-    return CoverSolution(
-        tuple(rel.candidates[j] for j in chosen), len(chosen), CoverKind.EXACT_COVER
-    )
+    return CoverSolution(tuple(rel.candidates[j] for j in chosen), CoverKind.EXACT_COVER)
 
 
 def unique_witness_assignment(

@@ -109,11 +109,8 @@ class QuantumBlock:
     post_support_matches_pairs: bool | None = None
 
 
-def covers_dict(
-    min_cover: CoverSolution, exact_cover: CoverSolution, assignment, *, certificate: bool
-) -> dict:
-    """The canonical ``covers`` block; ``assignment`` holds (target, witness)
-    pairs, or None when no injective assignment exists."""
+def covers_dict(mini: Minimization, *, certificate: bool) -> dict:
+    """The canonical ``covers`` block of one minimization."""
 
     def cover_dict(sol: CoverSolution) -> dict:
         out = {"kind": sol.kind.value, "m": sol.m, "chosen": list(sol.chosen)}
@@ -121,37 +118,39 @@ def covers_dict(
             out["certificate"] = sol.certificate
         return out
 
+    assignment = mini.assignment
     return {
-        "min_cover": cover_dict(min_cover),
-        "exact_cover": cover_dict(exact_cover),
+        "min_cover": cover_dict(mini.min_cover),
+        "exact_cover": cover_dict(mini.exact_cover),
         "unique_witness_assignment": {
             "exists": assignment is not None,
-            "assignment": None if assignment is None else [[t, w] for t, w in assignment],
+            "assignment": None if assignment is None else [[t, w] for t, w in assignment.items()],
         },
     }
 
 
 @dataclass(frozen=True)
 class RandomnessReport:
-    sequence_label: str
-    sequence_elements: tuple[int, ...]
+    sequence: Sequence
     question: str
     bits: BitString
-    q: int  # target count of the witness relation (what the oracle marks)
     relation: RelationSummary
-    min_cover: CoverSolution
-    exact_cover_solution: CoverSolution
-    assignment_exists: bool
-    assignment: tuple[tuple[int, int], ...] | None
-    paradox: bool
-    paradox_narrative: str
-    verdict: CompressibilityVerdict
-    compression_ratio: Fraction | None
+    minimization: Minimization
+    verdict: CompressibilityVerdict  # the resolved one after a deadlock
     quantum: QuantumBlock
     randomness: ClassifiedState | None
     randomness_raw: ClassifiedState | None
     randomness_assigned: ClassifiedState | None
     notes: tuple[str, ...] = field(default_factory=tuple)
+
+    @property
+    def q(self) -> int:
+        """Target count of the witness relation (what the oracle marks)."""
+        return self.relation.target_count
+
+    @property
+    def compression_ratio(self) -> Fraction | None:
+        return Fraction(self.verdict.m, self.verdict.q) if self.verdict.q else None
 
     @property
     def bitstring(self) -> str:
@@ -179,11 +178,13 @@ class RandomnessReport:
             }
 
         counting = self.quantum.counting
+        mini = self.minimization
+        ratio = self.compression_ratio
         return {
             "sequence": {
-                "label": self.sequence_label,
-                "length": len(self.sequence_elements),
-                "elements": list(self.sequence_elements),
+                "label": self.sequence.label,
+                "length": len(self.sequence),
+                "elements": list(self.sequence.elements),
             },
             "question": self.question,
             "bitstring": self.bitstring,
@@ -198,13 +199,11 @@ class RandomnessReport:
                 "shared_witnesses": self.relation.shared_witnesses,
                 "oracle_matches_question": self.relation.oracle_matches_question,
             },
-            "covers": covers_dict(
-                self.min_cover, self.exact_cover_solution, self.assignment, certificate=True
-            ),
+            "covers": covers_dict(mini, certificate=True),
             "paradox": {
-                "detected": self.paradox,
-                "narrative": self.paradox_narrative,
-                "resolution_applied": self.paradox,
+                "detected": mini.paradox,
+                "narrative": mini.narrative,
+                "resolution_applied": mini.paradox,
             },
             "compressibility": {
                 "m": self.verdict.m,
@@ -213,11 +212,8 @@ class RandomnessReport:
                 "paradox": self.verdict.paradox,
                 "notes": self.verdict.notes,
                 "compression_ratio": None
-                if self.compression_ratio is None
-                else {
-                    "num": self.compression_ratio.numerator,
-                    "den": self.compression_ratio.denominator,
-                },
+                if ratio is None
+                else {"num": ratio.numerator, "den": ratio.denominator},
             },
             "quantum": {
                 "skipped": self.quantum.skipped,
@@ -356,48 +352,34 @@ def _run_quantum(seq: Sequence, relation: WitnessRelation, options: AnalyzeOptio
     return block, oracle
 
 
-def _assigned_relation(
-    restricted: WitnessRelation,
-    assignment: dict[int, int] | None,
-    cover: CoverSolution,
-) -> WitnessRelation:
-    """One witness per target: the injective assignment when it exists, else
-    the smallest chosen cover witness of each target (the cover holds one
-    for every target)."""
-    candidates = restricted.candidates
-    index = dict(zip(candidates, range(len(candidates))))
-    q = len(restricted.targets)
+def _one_witness_each(
+    raw: MarkedOracle, assignment: dict[int, int] | None, cover: CoverSolution
+) -> MarkedOracle:
+    """The raw oracle cut to one witness per marked row, over the same
+    registers: each covered target keeps its witness under the injective
+    assignment when it exists, else its smallest chosen cover witness (the
+    cover holds one for every covered target)."""
+    rows = np.flatnonzero(raw.mask.any(axis=1))  # the covered targets, in order
+    column = dict(zip(raw.w_values, range(len(raw.w_values))))
     if assignment is not None:
-        picks = np.fromiter(
-            map(index.__getitem__, map(assignment.__getitem__, restricted.targets)), np.intp, q
-        )
+        # keyed by target, ascending like the rows
+        picks = np.fromiter(map(column.__getitem__, assignment.values()), np.intp, len(rows))
     else:
-        # rank the chosen witnesses by value; each target takes its least
-        # rank, and a witness outside the cover ranks last
-        chosen = np.fromiter(map(index.__getitem__, sorted(cover.chosen)), np.intp)
-        rank = np.full(len(candidates), len(chosen))
-        rank[chosen] = np.arange(len(chosen))
-        target, candidate = restricted.marked_pairs
-        least = np.minimum.reduceat(rank[candidate], np.flatnonzero(np.diff(target, prepend=-1)))
-        picks = chosen[least]
-    return WitnessRelation(
-        targets=restricted.targets,
-        candidates=candidates,
-        marked_pairs=(np.arange(q), picks),
-        oracle_descriptor=restricted.oracle_descriptor + " (one witness per target)",
-    )
+        # the chosen witnesses ascend, so a row's first marked one is its least
+        chosen = np.fromiter(map(column.__getitem__, cover.chosen), np.intp)
+        picks = chosen[raw.mask[rows][:, chosen].argmax(axis=1)]
+    mask = np.zeros_like(raw.mask)
+    mask[rows, picks] = True
+    return MarkedOracle(raw.s_values, raw.w_values, mask)
 
 
 def minimize_covered(
     relation: WitnessRelation, coverage: CoverageReport, exact_threshold: int
-) -> tuple[WitnessRelation, Minimization]:
+) -> Minimization:
     """Drop the targets without a witness, then minimize the rest."""
-    restricted = (
-        relation.restrict_targets(set(relation.targets) - set(coverage.uncovered))
-        if coverage.uncovered
-        else relation
-    )
-    return restricted, minimize(restricted, exact_threshold)
+    if coverage.uncovered:
+        relation = relation.restrict_targets(set(relation.targets) - set(coverage.uncovered))
+    return minimize(relation, exact_threshold)
 
 
 def analyze(
@@ -413,64 +395,47 @@ def analyze(
             f"uncovered targets {list(coverage.uncovered)} excluded from minimization"
         )
     with _stage("minimization"):
-        restricted, mini = minimize_covered(relation, coverage, options.exact_threshold)
+        mini = minimize_covered(relation, coverage, options.exact_threshold)
 
     verdict = mini.verdict
-    resolved_relation = None
     if mini.paradox:
-        resolved_relation = relation_identity(satisfying)
         verdict = replace(mini.verdict, m=satisfying.q, q=satisfying.q)
         notes.append("self-pairing resolution applied over the full satisfying set")
-
-    ratio = Fraction(verdict.m, verdict.q) if verdict.q else None
 
     with _stage("quantum"):
         quantum_block, raw_oracle = _run_quantum(seq, relation, options)
 
-    raw_class = None
-    assigned_class = None
-    cover_class = None
-    primary = None
+    raw_class = assigned_class = cover_class = primary = None
     with _stage("classification"):
-
-        def reading(sub: WitnessRelation, basis: str) -> ClassifiedState | None:
-            """Classification of a one-witness-per-target marking, or a note."""
-            if not sub.candidates:
-                reason = "no candidate witnesses"
-            elif not len(sub.marked_pairs[0]):
-                reason = "nothing is marked"
-            else:
-                try:
-                    _layout, oracle = quantum_stage(seq.elements, sub, options.qubit_cap)
-                    return _classified(oracle, basis)
-                except QubitCapError as exc:
-                    reason = str(exc)
-            notes.append(f"{basis} classification skipped: {reason}")
-            return None
-
         if raw_oracle is not None:
             raw_class = _classified(raw_oracle, basis="oracle")
-        if raw_class is not None and raw_class.regime == RandomnessRegime.NON_CANONICAL.value:
+        non_canonical = (
+            raw_class is not None and raw_class.regime == RandomnessRegime.NON_CANONICAL.value
+        )
+        if non_canonical:
             # two one-witness-per-element readings of a multi-witness support:
             # the injective assignment when it saturates, and the cover-based
             # choice, whose block structure always agrees with the verdict
-            cover_class = reading(_assigned_relation(restricted, None, mini.min_cover), "assigned")
+            cover = _one_witness_each(raw_oracle, None, mini.min_cover)
+            cover_class = assigned_class = _classified(cover, "assigned")
             if mini.assignment is not None:
-                assigned_class = reading(
-                    _assigned_relation(restricted, mini.assignment, mini.min_cover),
-                    "assigned",
-                )
-            else:
-                assigned_class = cover_class
+                injective = _one_witness_each(raw_oracle, mini.assignment, mini.min_cover)
+                assigned_class = _classified(injective, "assigned")
         if not relation.marked_pairs[0].size and satisfying.q == 0:
             primary = _TRIVIAL_EMPTY
         elif options.run_quantum:
             if mini.paradox:
-                primary = reading(resolved_relation, "resolved")
-            elif raw_class is not None and raw_class.regime != RandomnessRegime.NON_CANONICAL.value:
-                primary = raw_class
+                # a deadlock needs targets, so the self-pairing relation marks
+                # q >= 1 pairs and only the cap can stop its reading
+                try:
+                    _layout, resolved = quantum_stage(
+                        seq.elements, relation_identity(satisfying), options.qubit_cap
+                    )
+                    primary = _classified(resolved, "resolved")
+                except QubitCapError as exc:
+                    notes.append(f"resolved classification skipped: {exc}")
             else:
-                primary = cover_class
+                primary = cover_class if non_canonical else raw_class
             if primary is None and raw_class is None and not quantum_block.skipped:
                 notes.append("classification skipped: no marked support")
         else:
@@ -486,20 +451,12 @@ def analyze(
         oracle_matches_question=faithful,
     )
     return RandomnessReport(
-        sequence_label=seq.label,
-        sequence_elements=seq.elements,
+        sequence=seq,
         question=question.describe(),
         bits=bits,
-        q=len(relation.targets),
         relation=summary,
-        min_cover=mini.min_cover,
-        exact_cover_solution=mini.exact_cover,
-        assignment_exists=mini.assignment is not None,
-        assignment=None if mini.assignment is None else tuple(mini.assignment.items()),
-        paradox=mini.paradox,
-        paradox_narrative=mini.narrative,
+        minimization=mini,
         verdict=verdict,
-        compression_ratio=ratio,
         quantum=quantum_block,
         randomness=primary,
         randomness_raw=raw_class,

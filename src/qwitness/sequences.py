@@ -208,7 +208,6 @@ class BitString:
 
     bits: tuple[int, ...]
     elements: tuple[int, ...]
-    source: tuple[str, str]  # (sequence label, question descriptor)
     # the factorization a factored question's bits were read from
     factored: Factorization | None = field(default=None, compare=False, repr=False)
 
@@ -268,4 +267,4 @@ def build_bitstring(seq: Sequence, question: Question) -> BitString:
                 bits.append(question.evaluate(s))
             except DomainError as exc:
                 raise DomainError(f"element {s}: {exc}") from exc
-    return BitString(tuple(bits), seq.elements, (seq.label, question.describe()), factored)
+    return BitString(tuple(bits), seq.elements, factored)

@@ -28,10 +28,10 @@ def emit_json(body_key: str, body: dict, command: str, config) -> str:
             "generator": f"qwitness {__version__}",
             "command": command,
             "options": {
-                "qubit_cap": config.qubit_cap,
-                "phase_bits": config.phase_bits,
-                "exact_threshold": config.exact_threshold,
-                "no_quantum": config.no_quantum,
+                "qubit_cap": config.options.qubit_cap,
+                "phase_bits": config.options.phase_bits,
+                "exact_threshold": config.options.exact_threshold,
+                "no_quantum": not config.options.run_quantum,
             },
         },
         body_key: round_floats(body),

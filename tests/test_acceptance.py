@@ -74,7 +74,7 @@ def test_criterion_1_composite_end_to_end():
     elapsed = time.perf_counter() - start
     assert report.verdict.q == 74
     assert report.verdict.m == 4
-    assert report.min_cover.chosen == (2, 3, 5, 7)
+    assert report.minimization.min_cover.chosen == (2, 3, 5, 7)
     assert report.verdict.regime is Regime.COMPRESSIBLE
     assert elapsed < 1.0
     _passed(1, f"[2..100] composite: q=74, m=4, W=(2,3,5,7), Compressible in {elapsed:.3f}s")
@@ -123,7 +123,7 @@ def test_criterion_3_mobius_paradox():
     assert exact_subsets == []
 
     report = analyze(Sequence.from_values(squarefree_support(25), "sf25"), MobiusPlusOne())
-    assert report.paradox
+    assert report.minimization.paradox
     sq = report.bit_popcount
     assert report.verdict.m == report.verdict.q == sq
     assert report.verdict.regime is Regime.INCOMPRESSIBLE

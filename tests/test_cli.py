@@ -72,6 +72,19 @@ class TestAnalyze:
                      "--format", "both"]) == 2
         assert "both" in capsys.readouterr().err
 
+    def test_both_formats_refuse_an_out_ending_in_csv(self, tmp_path, capsys):
+        # the CSV would take the report's own path and overwrite it
+        out = tmp_path / "r.csv"
+        code = main([
+            "analyze", "--range", "2", "9", "--question", "composite",
+            "--format", "both", "--out", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"qwitness: --format both would write the CSV over the report at {str(out)!r}\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
     def test_byte_identical_reruns(self, tmp_path):
         args = ["analyze", "--squarefree", "20", "--question", "mobius-plus-one"]
         _, a = run(tmp_path, *args, name="a.json")
@@ -433,13 +446,16 @@ class TestConfigAndErrors:
             ({"out": 7}, "out"),
             ({"out": 1, "format": "both"}, "out"),
             ({"out": ["a"]}, "out"),
+            ({"out": "a\u0000b"}, "out"),
+            ({"out": "a\ud800b"}, "out"),
             ({"no_quantum": "false"}, "no_quantum"),
             ({"list": [4, 6.9, 8]}, "list"),
             ({"qubit_cap": 20.9}, "qubit_cap"),
             ({"exact_threshold": True}, "exact_threshold"),
         ],
         ids=[
-            "out-fd-csv", "out-fd-7", "out-int-both", "out-list", "no-quantum-string",
+            "out-fd-csv", "out-fd-7", "out-int-both", "out-list", "out-null-byte",
+            "out-lone-surrogate", "no-quantum-string",
             "list-float", "qubit-cap-float", "exact-threshold-bool",
         ],
     )
@@ -454,6 +470,22 @@ class TestConfigAndErrors:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith(f"qwitness: {key}")
+        assert captured.out == ""
+        assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize(
+        "raw",
+        [b'\xff\xfe{"range": [2, 9], "question": "even"}', b"[" * 100_000 + b"]" * 100_000],
+        ids=["not-utf8", "nested-100000-deep"],
+    )
+    def test_undecodable_config_file_exits_two(self, tmp_path, monkeypatch, capsys, raw):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(raw)
+        code = main(["analyze", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(f"qwitness: config file {cfg} is not valid JSON: ")
         assert captured.out == ""
         assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
 

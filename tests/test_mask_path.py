@@ -21,7 +21,7 @@ from qwitness.classify import classify, classify_marked
 from qwitness.cli import build_config, make_parser
 from qwitness.errors import QubitCapError
 from qwitness.pipeline import (
-    _assigned_relation,
+    _one_witness_each,
     analyze,
     coverage_check,
     cross_check,
@@ -49,7 +49,11 @@ def assert_mask_path_matches_dense(s_values, relation):
     """The mask path and the dense chain agree on one relation's marked state."""
     oracle = MarkedOracle.from_relation(s_values, relation)
     assert oracle.marked_count == len(relation.marked_pairs[0])
-    prepared = prepare_superposition(s_values, relation.candidates, cap=64)
+    assert_oracle_matches_dense(oracle)
+
+
+def assert_oracle_matches_dense(oracle):
+    prepared = prepare_superposition(oracle.s_values, oracle.w_values, cap=64)
     # Grover starts from the prepared state's flag-0 slice
     assert grover_run(oracle, 0)[1].tobytes() == prepared.amplitudes[:, :, 0].flatten().tobytes()
     if not oracle.marked_count:
@@ -87,8 +91,8 @@ class TestMatchesDenseChain:
 
     @pytest.mark.parametrize("workload", ["composite-range", "sparse-lists"])
     def test_every_default_seed_input(self, workload):
-        """Each reading analyze takes: the relation, the cover-based and the
-        injective one-witness-per-target markings."""
+        """Each reading analyze takes: the relation, and the cover-based and
+        the injective one-witness-per-target markings cut from its oracle."""
         _warmup, inputs = generate(workload, DEFAULT_SEED)
         distinct = list({tuple(argv): argv for argv in inputs}.values())
         compared = 0
@@ -97,18 +101,26 @@ class TestMatchesDenseChain:
             seq = config.sequence
             _bits, relation, _faithful = witness_stage(seq, config.question)
             try:
-                quantum_stage(seq.elements, relation, config.qubit_cap)
+                _layout, raw = quantum_stage(seq.elements, relation, config.options.qubit_cap)
             except QubitCapError:
                 continue
             assert_mask_path_matches_dense(seq.elements, relation)
-            restricted, mini = minimize_covered(
-                relation, coverage_check(relation), config.exact_threshold
+            mini = minimize_covered(
+                relation, coverage_check(relation), config.options.exact_threshold
             )
             for assignment in (None, mini.assignment):
-                picked = _assigned_relation(restricted, assignment, mini.min_cover)
-                # a checked relation with one witness per target
-                assert (picked.witness_counts == 1).all()
-                assert_mask_path_matches_dense(seq.elements, picked)
+                picked = _one_witness_each(raw, assignment, mini.min_cover)
+                assert (picked.s_values, picked.w_values) == (raw.s_values, raw.w_values)
+                # one marked pair of the relation per covered target, nothing
+                # else: the assigned witness, else the least chosen cover witness
+                chosen = set(mini.min_cover.chosen)
+                expected = set()
+                for t, row in zip(relation.targets, relation.incidence):
+                    if row:
+                        ws = chosen.intersection(relation.candidates[j] for j in row)
+                        expected.add((t, assignment[t] if assignment else min(ws)))
+                assert picked.marked == expected
+                assert_oracle_matches_dense(picked)
             compared += 1
         assert compared == len(distinct)
 

@@ -17,7 +17,7 @@ from qwitness.cover import Regime
 from qwitness.errors import QubitCapError
 from qwitness.number_theory import primes_upto, squarefree_support
 from qwitness.pipeline import AnalyzeOptions, analyze, cross_check, quantum_stage, witness_stage
-from qwitness.quantum import MarkedOracle, StateVector
+from qwitness.quantum import MarkedOracle, RegisterLayout, StateVector
 from qwitness.sequences import (
     IdentityIn,
     IsComposite,
@@ -52,7 +52,7 @@ class TestWorkedExamples:
         assert report.verdict.m == 4
         assert report.verdict.q == 74 == report.q == report.bit_popcount
         assert report.verdict.regime is Regime.COMPRESSIBLE
-        assert report.min_cover.chosen == (2, 3, 5, 7)
+        assert report.minimization.min_cover.chosen == (2, 3, 5, 7)
         assert report.randomness.basis == "assigned"
         assert report.randomness.regime == "Partial"
         assert len(report.randomness.blocks) == 4
@@ -61,7 +61,7 @@ class TestWorkedExamples:
 
     def test_mobius(self):
         report = analyze(sf_seq(25), MobiusPlusOne())
-        assert report.paradox
+        assert report.minimization.paradox
         assert report.to_dict()["paradox"]["resolution_applied"]  # written from paradox
         assert report.verdict.m == report.verdict.q == 12
         assert report.verdict.regime is Regime.INCOMPRESSIBLE
@@ -77,12 +77,12 @@ class TestWorkedExamples:
 
     def test_mobius_paradox_holds_for_smaller_supports(self):
         for n in (13, 20):
-            assert analyze(sf_seq(n), MobiusPlusOne()).paradox, n
+            assert analyze(sf_seq(n), MobiusPlusOne()).minimization.paradox, n
 
     def test_mobius_support_ten_compresses_without_deadlock(self):
         # {2} covers 6, 10, 14 exactly once, so the discard rule succeeds here
         report = analyze(sf_seq(10), MobiusPlusOne())
-        assert not report.paradox
+        assert not report.minimization.paradox
         assert report.verdict.m == 1
         assert report.verdict.q == 3  # covered targets; 1 stays uncovered
         assert report.verdict.regime is Regime.COMPRESSIBLE
@@ -217,7 +217,7 @@ class TestEndToEndProperties:
         findings = cross_check(report)
         # tiny supports have no witnesses at all, which is a skip note
         assert all(f.startswith("quantum stage skipped") for f in findings)
-        if report.paradox:
+        if report.minimization.paradox:
             assert report.verdict.m == report.verdict.q == report.bit_popcount
 
 
@@ -350,6 +350,42 @@ class TestComputeOnce:
 
         monkeypatch.setattr(StateVector, "to_json_entries", per_pair)
         assert cross_check(analyze(seq, question)) == []
+
+    @pytest.mark.parametrize(
+        "seq, question, built",
+        [
+            (
+                Sequence.from_values((1, 2, 3, 5, 6, 7, 10, 11, 13, 14, 15), "sf"),
+                MobiusPlusOne(),
+                2,
+            ),
+            (Sequence.from_range(2, 100), IsComposite(), 1),
+        ],
+        ids=["mobius-list", "composite-2-100"],
+    )
+    def test_registers_and_oracles_are_built_for_the_raw_and_resolved_relations(
+        self, monkeypatch, seq, question, built
+    ):
+        """The one-witness readings are cut from the raw oracle, so only the
+        raw relation and, after a deadlock, the resolved one are scattered."""
+        calls = {"from_relation": 0, "for_values": 0}
+        for cls, name in ((MarkedOracle, "from_relation"), (RegisterLayout, "for_values")):
+
+            def wrapper(_cls, *args, _fn=getattr(cls, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, classmethod(wrapper))
+        report = analyze(seq, question)
+        assert report.randomness_raw.regime == "NonCanonical"
+        assert report.randomness_assigned is not None
+        assert calls == {"from_relation": built, "for_values": built}
+
+    def test_no_self_pairing_relation_without_the_quantum_stage(self, monkeypatch):
+        calls = self.counted(monkeypatch, [(qwitness.witnesses, "relation_identity")])
+        report = analyze(sf_seq(120), MobiusPlusOne(), AnalyzeOptions(run_quantum=False))
+        assert report.minimization.paradox
+        assert calls == {"relation_identity": 0}
 
     def test_simulate_runs_only_the_steps_it_prints(self, monkeypatch, tmp_path):
         module = sys.modules["qwitness.quantum"]

@@ -134,9 +134,9 @@ class TestBuildBitstring:
 
     def test_bitstring_validation(self):
         with pytest.raises(DomainError):
-            BitString((0, 1), (2,), ("x", "y"))
+            BitString((0, 1), (2,))
         with pytest.raises(DomainError):
-            BitString((2,), (2,), ("x", "y"))
+            BitString((2,), (2,))
 
 
 # the point oracle's trial pool: a semiprime whose smaller factor is in it stays
