@@ -6,6 +6,10 @@ randomness); one witness per element gives a maximally entangled pairing
 (maximal randomness); witnesses shared by blocks of elements sit in between.
 States where some element carries several witnesses fall outside that family
 and are labelled NonCanonical.
+
+That state carries one amplitude on every marked pair and nothing elsewhere,
+so ``classify_marked`` reads it from the oracle's mask and that amplitude;
+no state vector is built.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from math import log2
 import numpy as np
 
 from .errors import DomainError
-from .quantum import MarkedOracle, StateVector
+from .quantum import MarkedOracle
 
 RANK_TOL = 1e-10
 _AMP_TOL = 1e-12
@@ -45,29 +49,6 @@ class RandomnessClass:
     spectrum: SchmidtSpectrum
 
 
-def _flag_matrix(state: StateVector) -> np.ndarray:
-    """Amplitudes as an (s, w) matrix on whichever flag slice carries the state."""
-    grid = state.amplitudes
-    mass = [float(np.sum(np.abs(grid[:, :, f]) ** 2)) for f in (0, 1)]
-    if mass[0] > _AMP_TOL and mass[1] > _AMP_TOL:
-        raise DomainError("flag register carries weight on both values; post-select first")
-    if mass[0] <= _AMP_TOL and mass[1] <= _AMP_TOL:
-        raise DomainError("zero state has no Schmidt decomposition")
-    return grid[:, :, 1] if mass[1] > mass[0] else grid[:, :, 0]
-
-
-def _support(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows and columns of a flag matrix that carry any weight."""
-    magnitudes = np.abs(matrix)
-    return np.flatnonzero(magnitudes.sum(axis=1) > 0), np.flatnonzero(magnitudes.sum(axis=0) > 0)
-
-
-def schmidt(state: StateVector) -> SchmidtSpectrum:
-    """Singular values across the s|w cut, descending; squared sum is 1."""
-    matrix = _flag_matrix(state)
-    return _schmidt_split(matrix[np.ix_(*_support(matrix))])
-
-
 def _schmidt_split(trimmed: np.ndarray) -> SchmidtSpectrum:
     """The spectrum of a flag matrix trimmed to its weighted rows and columns
     (zero rows and columns do not move singular values)."""
@@ -88,15 +69,6 @@ def entanglement_entropy(spectrum: SchmidtSpectrum) -> float:
         if lam > 0.0:
             out -= lam * log2(lam)
     return max(out, 0.0)
-
-
-def classify(state: StateVector, oracle: MarkedOracle) -> RandomnessClass:
-    """Name the regime of a post-selected marked state (see ``classify_grid``)."""
-    if (state.s_values, state.w_values) != (oracle.s_values, oracle.w_values):
-        raise DomainError("state value registers differ from the oracle support")
-    matrix = _flag_matrix(state)
-    rows, cols = _support(matrix)
-    return classify_grid(matrix[np.ix_(rows, cols)], oracle, rows, cols)
 
 
 def classify_marked(oracle: MarkedOracle, amplitude: float) -> RandomnessClass:

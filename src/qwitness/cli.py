@@ -84,8 +84,6 @@ def _merged(args: argparse.Namespace) -> dict:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 loaded = json.load(fh)
-        except OSError as exc:
-            raise DomainError(f"cannot read config file: {exc}") from exc
         except (ValueError, RecursionError) as exc:
             # not UTF-8, not JSON, or nested past the recursion limit
             raise DomainError(f"config file {args.config} is not valid JSON: {exc}") from exc

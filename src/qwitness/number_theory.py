@@ -1,18 +1,16 @@
 """Integer predicates backing the witness oracles.
 
 Everything here is exact over the unsigned 64-bit range; no probabilistic
-shortcuts. Factor-hungry operations (``mobius``, ``factorize``) run trial
-division against a fixed prime pool and reject inputs whose cofactor is
-neither prime nor a prime square, rather than guessing; they are the point
-route and the test oracle. ``factor_elements`` tests a whole sequence once
-against every prime up to sqrt(max) in one array pass, which the bitstring and
-the witness relation both read.
+shortcuts. ``is_prime`` is deterministic Miller-Rabin. ``factor_elements``
+tests a whole sequence once against every prime up to sqrt(max) in one array
+pass, which the bitstring and the witness relation both read; there is no
+per-value factorization route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import compress
 from math import isqrt
 
@@ -25,10 +23,6 @@ U64_MAX = 2**64 - 1
 # Witness bases that make Miller-Rabin deterministic for all n < 3.3e24,
 # which covers the 64-bit range with room to spare.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-# Trial-division pool bound. Cofactors surviving the pool must be prime or a
-# prime square; anything else is rejected with a clear error.
-_TRIAL_LIMIT = 100_000
 
 # Memory guard for sieving; desk-scale tool, not a prime-counting service.
 _SIEVE_LIMIT = 200_000_000
@@ -71,11 +65,6 @@ def is_prime(k: int) -> bool:
         else:
             return False
     return True
-
-
-@lru_cache(maxsize=1)
-def _trial_primes() -> tuple[int, ...]:
-    return tuple(primes_upto(_TRIAL_LIMIT))
 
 
 # Cells per block of the divisibility pass: its temporaries stay near 9 MiB.
@@ -159,95 +148,6 @@ def factor_elements(elements) -> Factorization:
     )
 
 
-def factorize(k: int) -> dict[int, int]:
-    """Prime factorization {p: exponent} by trial division.
-
-    Raises DomainError when the cofactor left after the trial pool is a
-    composite that is not a prime square (two large prime factors, say).
-    """
-    _check_u64(k, "k")
-    if k < 1:
-        raise DomainError(f"cannot factor {k}; argument must be >= 1")
-    factors: dict[int, int] = {}
-    rest = k
-    for p in _trial_primes():
-        if p * p > rest:
-            break
-        while rest % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            rest //= p
-    if rest > 1:
-        if is_prime(rest):
-            factors[rest] = 1
-        else:
-            root = isqrt(rest)
-            if root * root == rest and is_prime(root):
-                factors[root] = 2
-            else:
-                raise DomainError(
-                    f"{k} has a composite cofactor {rest} beyond trial-division reach"
-                )
-    return factors
-
-
-def mobius(k: int) -> int:
-    """Point Möbius value: 0 on a squared prime factor, else (-1)^(#primes)."""
-    _check_u64(k, "k")
-    if k < 1:
-        raise DomainError("mobius is defined for k >= 1")
-    if k == 1:
-        return 1
-    sign = 1
-    rest = k
-    for p in _trial_primes():
-        if p * p > rest:
-            break
-        if rest % p == 0:
-            rest //= p
-            if rest % p == 0:
-                return 0
-            sign = -sign
-    if rest > 1:
-        if is_prime(rest):
-            sign = -sign
-        else:
-            root = isqrt(rest)
-            if root * root == rest and is_prime(root):
-                return 0
-            raise DomainError(
-                f"{k} has a composite cofactor {rest} beyond trial-division reach"
-            )
-    return sign
-
-
-def mobius_sieve(limit: int) -> list[int]:
-    """Möbius values for 0..limit via a linear sieve (index 0 is a placeholder).
-
-    The sieve route exists to cross-validate the factorization route and to
-    make range scans cheap.
-    """
-    _sieve_bound(limit, "limit")
-    mu = [0] * (limit + 1)
-    if limit >= 1:
-        mu[1] = 1
-    primes: list[int] = []
-    is_comp = bytearray(limit + 1)
-    for i in range(2, limit + 1):
-        if not is_comp[i]:
-            primes.append(i)
-            mu[i] = -1
-        for p in primes:
-            ip = i * p
-            if ip > limit:
-                break
-            is_comp[ip] = 1
-            if i % p == 0:
-                mu[ip] = 0
-                break
-            mu[ip] = -mu[i]
-    return mu
-
-
 def _eratosthenes(x: int) -> bytearray:
     _sieve_bound(x, "x")
     flags = bytearray([1]) * (x + 1)
@@ -262,11 +162,6 @@ def _eratosthenes(x: int) -> bytearray:
 def _prime_pool(x: int) -> np.ndarray:
     """All primes p with 2 <= p <= x, ascending, as uint64."""
     return np.flatnonzero(np.frombuffer(_eratosthenes(x), np.uint8)).view(np.uint64)
-
-
-def primes_upto(x: int) -> list[int]:
-    """All primes p with 2 <= p <= x, ascending."""
-    return _prime_pool(x).tolist()
 
 
 def recurrence_orbit(p: int, q: int, bound: int) -> list[int]:
@@ -299,10 +194,9 @@ def recurrence_orbit(p: int, q: int, bound: int) -> list[int]:
 
 
 def squarefree_support(n: int) -> list[int]:
-    """The first n integers k >= 1 with mobius(k) != 0, ascending.
+    """The first n squarefree integers k >= 1 (mu(k) != 0), ascending.
 
-    Clears the multiples of every prime square from a flag array;
-    ``mobius_sieve`` is the route that cross-checks it.
+    Clears the multiples of every prime square from a flag array.
     """
     _check_u64(n, "n")
     if n < 1:

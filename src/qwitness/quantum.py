@@ -21,16 +21,16 @@ so the t-bit phase register distribution is computed exactly from two scalar
 trajectories, no sampling involved, in memory that depends on t only.
 
 Marking and post-selecting the prepared state leaves one amplitude c on each
-marked pair's flag 1, so the report path reads the oracle's mask and
-``marked_amplitude``; ``prepare_superposition``, ``apply_marking`` and
-``post_select_flag`` stay the public dense route and the test oracle.
+marked pair's flag 1, so no marked or post-selected state is built: readers
+take the oracle's mask and ``marked_amplitude``. The prepare, mark and
+post-select chain that builds those states survives only in the tests, as the
+reference these readings are checked against bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import repeat
 from math import cos, floor, pi, sqrt
 from typing import ClassVar
@@ -68,9 +68,6 @@ class RegisterLayout:
     @property
     def total_qubits(self) -> int:
         return self.s_qubits + self.w_qubits + self.flag_qubits
-
-    def index(self, s: int, w: int, flag: int) -> int:
-        return (s << (self.w_qubits + 1)) | (w << 1) | flag
 
     @classmethod
     def for_values(cls, s_values, w_values, cap: int = DEFAULT_QUBIT_CAP) -> "RegisterLayout":
@@ -135,8 +132,7 @@ class MarkedOracle:
     """Truth table of the marking rule over the s and w value sets.
 
     ``mask`` is the (n, m) bool table in (s_values, w_values) order, which
-    ``from_relation`` fills by one scatter; the set of marked (s, w) pairs,
-    ``marked``, is made only when read.
+    ``from_relation`` fills by one scatter.
     """
 
     def __init__(self, s_values: tuple, w_values: tuple, mask: np.ndarray):
@@ -162,45 +158,9 @@ class MarkedOracle:
         mask[rows, candidate] = True
         return cls(s_values, relation.candidates, mask)
 
-    @cached_property
-    def marked(self) -> frozenset[tuple[int, int]]:
-        rows, cols = np.nonzero(self.mask)
-        return frozenset(zip(map(self.s_values.__getitem__, rows.tolist()),
-                             map(self.w_values.__getitem__, cols.tolist())))
-
     @property
     def support(self) -> int:
         return len(self.s_values) * len(self.w_values)
-
-
-def prepare_superposition(
-    s_values, w_values, cap: int = DEFAULT_QUBIT_CAP
-) -> StateVector:
-    """Equal amplitudes 1/sqrt(n*m) on every (s, w, 0) configuration."""
-    s_values, w_values = tuple(s_values), tuple(w_values)
-    layout = RegisterLayout.for_values(s_values, w_values, cap)
-    amps = np.zeros((len(s_values), len(w_values), 2), dtype=np.complex128)
-    amps[:, :, 0] = 1.0 / sqrt(len(s_values) * len(w_values))
-    return StateVector(amps, s_values, w_values, layout)
-
-
-def apply_marking(state: StateVector, oracle: MarkedOracle) -> StateVector:
-    """Write the oracle bit into the flag: (s, w, b) -> (s, w, b xor Q(s, w)).
-
-    A pure permutation of amplitudes, hence self-inverse and norm-preserving.
-    The state's value registers must hold the oracle's values, in any order;
-    the result is in the oracle's order.
-    """
-    amps = state.amplitudes
-    if (state.s_values, state.w_values) != (oracle.s_values, oracle.w_values):
-        rows = {s: i for i, s in enumerate(state.s_values)}
-        cols = {w: j for j, w in enumerate(state.w_values)}
-        if rows.keys() != set(oracle.s_values) or cols.keys() != set(oracle.w_values):
-            raise DomainError("state value registers differ from the oracle support")
-        amps = amps[np.ix_([rows[s] for s in oracle.s_values], [cols[w] for w in oracle.w_values])]
-    amps = amps.copy()
-    amps[oracle.mask] = amps[oracle.mask][:, ::-1]
-    return StateVector(amps, oracle.s_values, oracle.w_values, state.layout)
 
 
 def grover_iterations_optimal(support: int, n_marked: int) -> int:
@@ -227,7 +187,7 @@ def grover_run(oracle: MarkedOracle, iterations: int) -> tuple[list[float], np.n
     trace = [float(np.sum(np.abs(sub[marked]) ** 2))]
     for _ in range(iterations):
         sub[marked] *= -1.0
-        sub = 2.0 * sub.mean() - sub
+        np.subtract(2.0 * sub.mean(), sub, out=sub)
         trace.append(float(np.sum(np.abs(sub[marked]) ** 2)))
     return trace, sub
 
@@ -314,22 +274,12 @@ def quantum_count(oracle: MarkedOracle, phase_bits: int) -> CountEstimate:
     )
 
 
-def post_select_flag(state: StateVector) -> StateVector:
-    """Renormalized restriction to flag = 1."""
-    amps = state.amplitudes.copy()
-    amps[:, :, 0] = 0.0
-    norm = _norm(amps)
-    if norm < 1e-12:
-        raise DomainError("no probability on flag = 1; nothing to post-select")
-    amps /= norm
-    return StateVector(amps, state.s_values, state.w_values, state.layout)
-
-
 def marked_amplitude(oracle: MarkedOracle) -> float:
     """The amplitude c on every marked pair of the marked, post-selected state,
-    bit for bit as ``post_select_flag`` computes it (with its unit-norm check):
-    the squares sit where the state's float64 view holds them, at 4k + 2 of
-    4*n*m for marked flat index k, so ``np.sum`` adds them in the same order."""
+    bit for bit as renormalizing that state's flag-1 slice computes it (with
+    its unit-norm check): the squares sit where the state's float64 view holds
+    them, at 4k + 2 of 4*n*m for marked flat index k, so ``np.sum`` adds them
+    in the same order."""
     a = 1.0 / sqrt(oracle.support)
     parts = np.zeros(4 * oracle.support)
     at = 4 * np.flatnonzero(oracle.mask) + 2

@@ -23,7 +23,6 @@ from .number_theory import (
     _check_u64,
     factor_elements,
     is_prime,
-    mobius,
     recurrence_orbit,
 )
 
@@ -70,22 +69,14 @@ class Sequence:
     def from_values(cls, values, label: str = "list") -> "Sequence":
         return cls(tuple(values), label=label)
 
-    @property
-    def max(self) -> int:
-        return self.elements[-1]
-
     def __len__(self) -> int:
         return len(self.elements)
 
-    def __iter__(self):
-        return iter(self.elements)
-
 
 class Question:
-    """Base for the supported yes/no questions. Subclasses implement evaluate(),
-    the point answer; the ``factored`` ones also implement read(), every
-    element's answer from the sequence's factorization, which build_bitstring
-    uses instead."""
+    """Base for the supported yes/no questions. The ``factored`` ones implement
+    read(), every element's answer from the sequence's factorization; the
+    others implement evaluate(), one element's answer."""
 
     factored = False
 
@@ -128,9 +119,6 @@ class RecurrenceMembership(Question):
 class IsComposite(Question):
     factored = True
 
-    def evaluate(self, s: int) -> int:
-        return 1 if s > 1 and not is_prime(s) else 0
-
     def read(self, factored: Factorization) -> list[int]:
         # composite iff divisible by a pool prime other than itself
         bits = np.zeros(len(factored.elements), dtype=np.uint8)
@@ -147,22 +135,14 @@ class MobiusPlusOne(Question):
 
     factored = True
 
-    def evaluate(self, s: int) -> int:
-        m = mobius(s)
-        if m == 0:
-            raise DomainError(self._undefined(s))
-        return 1 if m > 0 else 0
-
     def read(self, factored: Factorization) -> list[int]:
         s = factored.first_square()
         if s is not None:
-            raise DomainError(f"element {s}: {self._undefined(s)}")
+            raise DomainError(
+                f"element {s}: mobius({s}) = 0; element outside the question's domain"
+            )
         # mu = +1 iff the number of prime factors is even
         return (1 - factored.omega % 2).tolist()
-
-    @staticmethod
-    def _undefined(s: int) -> str:
-        return f"mobius({s}) = 0; element outside the question's domain"
 
     def describe(self) -> str:
         return "mobius-plus-one"
@@ -241,12 +221,6 @@ class SatisfyingSet:
     @property
     def q(self) -> int:
         return len(self.elements)
-
-
-def answer(question: Question, s: int) -> int:
-    """The exact truth value of the question on s (1 true, 0 false)."""
-    _check_u64(s, "s")
-    return question.evaluate(s)
 
 
 def build_bitstring(seq: Sequence, question: Question) -> BitString:

@@ -83,22 +83,6 @@ class WitnessRelation:
         ends = list(accumulate(self.witness_counts.tolist()))
         return tuple(map(flat.__getitem__, map(slice, chain((0,), ends), ends)))
 
-    def witnesses_of(self, s: int) -> tuple[int, ...]:
-        """Witness values of target s."""
-        try:
-            i = self.targets.index(s)
-        except ValueError:
-            raise DomainError(f"{s} is not a target of this relation") from None
-        return tuple(self.candidates[j] for j in self.incidence[i])
-
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        """All marked (target, witness value) pairs."""
-        return tuple(
-            (t, self.candidates[j])
-            for t, row in zip(self.targets, self.incidence)
-            for j in row
-        )
-
     def restrict_targets(self, keep) -> "WitnessRelation":
         kept = np.fromiter(map(set(keep).__contains__, self.targets), bool, len(self.targets))
         target, candidate = self.marked_pairs

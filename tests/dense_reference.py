@@ -1,4 +1,5 @@
-"""Dense statevector reference for the quantum stage and the Schmidt split.
+"""Dense and support-indexed statevector references for the quantum stage and
+the Schmidt split.
 
 Every basis state of the value-encoded s|w|flag registers is allocated, and
 counting runs the full (2^t, n*m) trajectory through the amplification
@@ -6,16 +7,25 @@ operator. This is the original implementation kept as an independent oracle:
 tests compare the support-indexed code in ``qwitness.quantum`` and
 ``qwitness.classify`` against it on small inputs.
 
+The support-indexed chain ``indexed_prepare -> indexed_marking ->
+indexed_post_select`` builds the marked, post-selected state as an (n, m, 2)
+``qwitness.quantum.StateVector``, and ``indexed_schmidt`` and
+``indexed_classify`` read its flag matrix. The package reads that state from
+the oracle's mask and ``marked_amplitude`` instead; tests hold those readings
+to this chain bit for bit, and this chain to the dense one.
+
 ``classify_per_pair`` is the original classifier, which walks the occupied
 (s, w) pairs of a support-indexed state one by one; tests compare the grid
 classifier in ``qwitness.classify`` against it.
 
-``decode``, ``indexed_amplitude``, ``indexed_norm`` and ``indexed_support``
-read registers and support-indexed states point by point, for the tests only.
+``basis_index``, ``decode``, ``indexed_amplitude``, ``indexed_norm`` and
+``indexed_support`` read registers and support-indexed states point by point,
+for the tests only.
 
 ``oracle_of_pairs`` fills an oracle's mask pair by pair, checking each pair
 against the two value sets; tests compare ``MarkedOracle.from_relation``'s
-scatter against it.
+scatter against it. ``pairs_of_oracle`` reads the marked (s, w) value pairs
+back.
 """
 
 from __future__ import annotations
@@ -33,10 +43,10 @@ from qwitness.classify import (
     SchmidtSpectrum,
     _AMP_TOL,
     _UNIFORM_TOL,
+    _schmidt_split,
+    classify_grid,
     entanglement_entropy,
 )
-from qwitness.classify import _flag_matrix as grid_flag_matrix
-from qwitness.classify import schmidt as grid_schmidt
 from qwitness.errors import DomainError
 from qwitness.quantum import (
     DEFAULT_QUBIT_CAP,
@@ -50,6 +60,7 @@ from qwitness.quantum import (
 )
 from qwitness.quantum import StateVector as IndexedStateVector
 from qwitness.witnesses import WitnessRelation
+from reference_relations import relation_pairs
 
 
 def oracle_of_pairs(s_values, w_values, pairs) -> MarkedOracle:
@@ -65,8 +76,20 @@ def oracle_of_pairs(s_values, w_values, pairs) -> MarkedOracle:
     return MarkedOracle(s_values, w_values, mask)
 
 
+def pairs_of_oracle(oracle: MarkedOracle) -> frozenset[tuple[int, int]]:
+    """The marked (s, w) value pairs of an oracle's mask."""
+    rows, cols = np.nonzero(oracle.mask)
+    return frozenset(zip(map(oracle.s_values.__getitem__, rows.tolist()),
+                         map(oracle.w_values.__getitem__, cols.tolist())))
+
+
+def basis_index(layout: RegisterLayout, s: int, w: int, flag: int) -> int:
+    """The basis index of (s, w, flag): the bit concatenation of the registers."""
+    return (s << (layout.w_qubits + 1)) | (w << 1) | flag
+
+
 def decode(layout: RegisterLayout, index: int) -> tuple[int, int, int]:
-    """(s, w, flag) of a basis index; ``layout.index`` inverted."""
+    """(s, w, flag) of a basis index; ``basis_index`` inverted."""
     flag = index & 1
     w = (index >> 1) & ((1 << layout.w_qubits) - 1)
     s = index >> (layout.w_qubits + 1)
@@ -90,6 +113,77 @@ def indexed_support(state: IndexedStateVector) -> np.ndarray:
     return (np.abs(state.amplitudes) > _AMPLITUDE_TOL).any(axis=2)
 
 
+def indexed_prepare(s_values, w_values, cap: int = DEFAULT_QUBIT_CAP) -> IndexedStateVector:
+    """Equal amplitudes 1/sqrt(n*m) on every (s, w, 0) configuration."""
+    s_values, w_values = tuple(s_values), tuple(w_values)
+    layout = RegisterLayout.for_values(s_values, w_values, cap)
+    amps = np.zeros((len(s_values), len(w_values), 2), dtype=np.complex128)
+    amps[:, :, 0] = 1.0 / sqrt(len(s_values) * len(w_values))
+    return IndexedStateVector(amps, s_values, w_values, layout)
+
+
+def indexed_marking(state: IndexedStateVector, oracle: MarkedOracle) -> IndexedStateVector:
+    """Write the oracle bit into the flag: (s, w, b) -> (s, w, b xor Q(s, w)).
+
+    A pure permutation of amplitudes, hence self-inverse and norm-preserving.
+    The state's value registers must hold the oracle's values, in any order;
+    the result is in the oracle's order.
+    """
+    amps = state.amplitudes
+    if (state.s_values, state.w_values) != (oracle.s_values, oracle.w_values):
+        rows = {s: i for i, s in enumerate(state.s_values)}
+        cols = {w: j for j, w in enumerate(state.w_values)}
+        if rows.keys() != set(oracle.s_values) or cols.keys() != set(oracle.w_values):
+            raise DomainError("state value registers differ from the oracle support")
+        amps = amps[np.ix_([rows[s] for s in oracle.s_values], [cols[w] for w in oracle.w_values])]
+    amps = amps.copy()
+    amps[oracle.mask] = amps[oracle.mask][:, ::-1]
+    return IndexedStateVector(amps, oracle.s_values, oracle.w_values, state.layout)
+
+
+def indexed_post_select(state: IndexedStateVector) -> IndexedStateVector:
+    """Renormalized restriction to flag = 1."""
+    amps = state.amplitudes.copy()
+    amps[:, :, 0] = 0.0
+    norm = _norm(amps)
+    if norm < 1e-12:
+        raise DomainError("no probability on flag = 1; nothing to post-select")
+    amps /= norm
+    return IndexedStateVector(amps, state.s_values, state.w_values, state.layout)
+
+
+def indexed_flag_matrix(state: IndexedStateVector) -> np.ndarray:
+    """Amplitudes as an (s, w) matrix on whichever flag slice carries the state."""
+    grid = state.amplitudes
+    mass = [float(np.sum(np.abs(grid[:, :, f]) ** 2)) for f in (0, 1)]
+    if mass[0] > _AMP_TOL and mass[1] > _AMP_TOL:
+        raise DomainError("flag register carries weight on both values; post-select first")
+    if mass[0] <= _AMP_TOL and mass[1] <= _AMP_TOL:
+        raise DomainError("zero state has no Schmidt decomposition")
+    return grid[:, :, 1] if mass[1] > mass[0] else grid[:, :, 0]
+
+
+def _weighted(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows and columns of a flag matrix that carry any weight."""
+    magnitudes = np.abs(matrix)
+    return np.flatnonzero(magnitudes.sum(axis=1) > 0), np.flatnonzero(magnitudes.sum(axis=0) > 0)
+
+
+def indexed_schmidt(state: IndexedStateVector) -> SchmidtSpectrum:
+    """Singular values across the s|w cut, descending; squared sum is 1."""
+    matrix = indexed_flag_matrix(state)
+    return _schmidt_split(matrix[np.ix_(*_weighted(matrix))])
+
+
+def indexed_classify(state: IndexedStateVector, oracle: MarkedOracle) -> RandomnessClass:
+    """Name the regime of a post-selected marked state (see ``classify_grid``)."""
+    if (state.s_values, state.w_values) != (oracle.s_values, oracle.w_values):
+        raise DomainError("state value registers differ from the oracle support")
+    matrix = indexed_flag_matrix(state)
+    rows, cols = _weighted(matrix)
+    return classify_grid(matrix[np.ix_(rows, cols)], oracle, rows, cols)
+
+
 @dataclass
 class StateVector:
     amplitudes: np.ndarray
@@ -106,7 +200,7 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
     def amplitude(self, s: int, w: int, flag: int) -> complex:
-        return complex(self.amplitudes[self.layout.index(s, w, flag)])
+        return complex(self.amplitudes[basis_index(self.layout, s, w, flag)])
 
     def nonzero_pairs(self, tol: float = 1e-12) -> list[tuple[int, int, int, complex]]:
         """(s, w, flag, amplitude) for every configuration carrying weight."""
@@ -140,13 +234,13 @@ def prepare_superposition(
     amp = 1.0 / sqrt(len(s_values) * len(w_values))
     for s in s_values:
         for w in w_values:
-            amps[layout.index(s, w, 0)] = amp
+            amps[basis_index(layout, s, w, 0)] = amp
     return StateVector(amps, layout)
 
 
 def _support_indices(oracle: MarkedOracle, layout: RegisterLayout, flag: int) -> np.ndarray:
     return np.array(
-        [layout.index(s, w, flag) for s in oracle.s_values for w in oracle.w_values],
+        [basis_index(layout, s, w, flag) for s in oracle.s_values for w in oracle.w_values],
         dtype=np.int64,
     )
 
@@ -173,9 +267,9 @@ def apply_marking(state: StateVector, oracle: MarkedOracle) -> StateVector:
     """
     _check_support(state, oracle, flag=None)
     amps = state.amplitudes.copy()
-    for s, w in oracle.marked:
-        i0 = state.layout.index(s, w, 0)
-        i1 = state.layout.index(s, w, 1)
+    for s, w in pairs_of_oracle(oracle):
+        i0 = basis_index(state.layout, s, w, 0)
+        i1 = basis_index(state.layout, s, w, 1)
         amps[i0], amps[i1] = amps[i1], amps[i0]
     return StateVector(amps, state.layout)
 
@@ -190,8 +284,9 @@ def _grover_step(amps: np.ndarray, support: np.ndarray, marked_mask: np.ndarray)
 
 def _support_and_mask(state: StateVector, oracle: MarkedOracle) -> tuple[np.ndarray, np.ndarray]:
     support = _support_indices(oracle, state.layout, flag=0)
+    marked = pairs_of_oracle(oracle)
     marked_mask = np.array(
-        [(s, w) in oracle.marked for s in oracle.s_values for w in oracle.w_values],
+        [(s, w) in marked for s in oracle.s_values for w in oracle.w_values],
         dtype=bool,
     )
     return support, marked_mask
@@ -236,8 +331,9 @@ def quantum_count(oracle: MarkedOracle, phase_bits: int) -> CountEstimate:
     if phase_bits < 1:
         raise DomainError("phase register needs at least one bit")
     n_points = oracle.support
+    marked = pairs_of_oracle(oracle)
     marked_mask = np.array(
-        [(s, w) in oracle.marked for s in oracle.s_values for w in oracle.w_values],
+        [(s, w) in marked for s in oracle.s_values for w in oracle.w_values],
         dtype=bool,
     )
     t_dim = 1 << phase_bits
@@ -306,7 +402,7 @@ def schmidt(state: StateVector) -> SchmidtSpectrum:
 
 
 def _marked_pairs(state: IndexedStateVector) -> list[tuple[int, int, complex]]:
-    matrix = grid_flag_matrix(state)
+    matrix = indexed_flag_matrix(state)
     out = []
     for i, j in zip(*np.nonzero(np.abs(matrix) > _AMP_TOL)):
         out.append((state.s_values[i], state.w_values[j], complex(matrix[i, j])))
@@ -325,11 +421,11 @@ def classify_per_pair(state: IndexedStateVector, relation: WitnessRelation) -> R
     pairs = _marked_pairs(state)
     if not pairs:
         raise DomainError("empty marked support")
-    allowed = set(relation.pairs())
+    allowed = set(relation_pairs(relation))
     for s, w, _ in pairs:
         if (s, w) not in allowed:
             raise DomainError(f"occupied pair ({s}, {w}) is not marked by the relation")
-    spectrum = grid_schmidt(state)
+    spectrum = indexed_schmidt(state)
     entropy = entanglement_entropy(spectrum)
     by_s: dict[int, set[int]] = {}
     by_w: dict[int, list[int]] = {}

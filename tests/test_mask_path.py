@@ -1,11 +1,12 @@
 """The report path reads marked states from the oracle's mask and one amplitude.
 
-``post_select_flag(apply_marking(prepare_superposition(...), oracle))`` is the
-public dense route. These tests hold the mask path to it bit for bit: the
-amplitude ``marked_amplitude`` computes, the classification, and the support.
-The dense route's own checks (unit norm of each state, value registers equal
-to the oracle's, weight only on flag 1 after post-selection) run here on every
-case, since ``analyze`` no longer builds the states that carried them.
+``indexed_post_select(indexed_marking(indexed_prepare(...), oracle))`` in
+``dense_reference`` is the support-indexed chain that builds those states.
+These tests hold the mask path to it bit for bit: the amplitude
+``marked_amplitude`` computes, the classification, and the support. The
+chain's own checks (unit norm of each state, value registers equal to the
+oracle's, weight only on flag 1 after post-selection) run here on every case,
+since ``analyze`` builds no state that would carry them.
 """
 
 import os
@@ -16,8 +17,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_reference import indexed_support
-from qwitness.classify import classify, classify_marked
+from dense_reference import (
+    indexed_classify,
+    indexed_marking,
+    indexed_post_select,
+    indexed_prepare,
+    indexed_support,
+    pairs_of_oracle,
+)
+from qwitness.classify import classify_marked
 from qwitness.cli import build_config, make_parser
 from qwitness.errors import QubitCapError
 from qwitness.pipeline import (
@@ -32,11 +40,8 @@ from qwitness.pipeline import (
 from qwitness.quantum import (
     MarkedOracle,
     StateVector,
-    apply_marking,
     grover_run,
     marked_amplitude,
-    post_select_flag,
-    prepare_superposition,
 )
 from qwitness.sequences import IsComposite, MobiusPlusOne, RecurrenceMembership, Sequence
 from reference_relations import relation_of_rows
@@ -53,18 +58,18 @@ def assert_mask_path_matches_dense(s_values, relation):
 
 
 def assert_oracle_matches_dense(oracle):
-    prepared = prepare_superposition(oracle.s_values, oracle.w_values, cap=64)
+    prepared = indexed_prepare(oracle.s_values, oracle.w_values, cap=64)
     # Grover starts from the prepared state's flag-0 slice
     assert grover_run(oracle, 0)[1].tobytes() == prepared.amplitudes[:, :, 0].flatten().tobytes()
     if not oracle.marked_count:
         return
-    post = post_select_flag(apply_marking(prepared, oracle))
+    post = indexed_post_select(indexed_marking(prepared, oracle))
     c = marked_amplitude(oracle)
     expected = np.where(oracle.mask, complex(c), 0j)
     assert post.amplitudes[:, :, 1].tobytes() == expected.tobytes()
     assert not post.amplitudes[:, :, 0].any()
     assert (indexed_support(post) == oracle.mask).all()
-    assert classify_marked(oracle, c) == classify(post, oracle)
+    assert classify_marked(oracle, c) == indexed_classify(post, oracle)
 
 
 @st.composite
@@ -119,7 +124,7 @@ class TestMatchesDenseChain:
                     if row:
                         ws = chosen.intersection(relation.candidates[j] for j in row)
                         expected.add((t, assignment[t] if assignment else min(ws)))
-                assert picked.marked == expected
+                assert pairs_of_oracle(picked) == expected
                 assert_oracle_matches_dense(picked)
             compared += 1
         assert compared == len(distinct)

@@ -1,21 +1,21 @@
 from math import isqrt
 
+import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwitness.errors import DomainError
 from qwitness.number_theory import (
     _eratosthenes,
+    _prime_pool,
     factor_elements,
-    factorize,
     is_prime,
-    mobius,
-    mobius_sieve,
-    primes_upto,
     recurrence_orbit,
     squarefree_support,
 )
+from reference_numbers import mobius, mobius_upto, primes_upto
 
 
 def trial_division_prime(k: int) -> bool:
@@ -39,7 +39,6 @@ class TestIsPrime:
             assert is_prime(k) == trial_division_prime(k)
 
     def test_random_64bit_against_sympy(self):
-        sympy = pytest.importorskip("sympy")
         import random
 
         rng = random.Random(20240901)
@@ -54,54 +53,58 @@ class TestIsPrime:
             is_prime(-1)
 
 
+def row_mobius(factored, i: int) -> int:
+    """mu of element i, read off a factorization as the package reads it."""
+    return 0 if factored.square[i] else (-1) ** int(factored.omega[i])
+
+
 class TestMobius:
+    """The Möbius values the factorization reads, against fixed values and sympy."""
+
     @pytest.mark.parametrize("k,expected", [(1, 1), (12, 0), (30, -1)])
     def test_examples(self, k, expected):
-        assert mobius(k) == expected
-
-    def test_zero_is_domain_error(self):
-        with pytest.raises(DomainError):
-            mobius(0)
+        assert row_mobius(factor_elements([k]), 0) == expected
 
     def test_sieve_matches_point_queries(self):
-        mu = mobius_sieve(3000)
+        factored = factor_elements(range(1, 3001))
         for k in range(1, 3001):
-            assert mu[k] == mobius(k)
-
-    def test_large_semiprime_rejected(self):
-        # two primes beyond the trial pool; factorization is infeasible here
-        p, q = 1_000_003, 1_000_033
-        with pytest.raises(DomainError):
-            mobius(p * q)
-        with pytest.raises(DomainError):
-            factorize(p * q)
+            assert row_mobius(factored, k - 1) == mobius(k)
 
     def test_prime_square_cofactor_is_zero(self):
-        assert mobius(1_000_003**2) == 0
+        assert row_mobius(factor_elements([1_000_003**2]), 0) == 0
 
 
 class TestFactorize:
+    """Each row's primes and cofactor, against sympy.factorint."""
+
     def test_reconstructs_value(self):
         for k in (1, 2, 12, 360, 97, 2**32 + 15):
+            factored = factor_elements([k])
+            primes = factored.hit_value.tolist()
+            assert all(sympy.isprime(p) for p in primes)
+            assert primes == [p for p in sympy.factorint(k) if p * p <= k]
             prod = 1
-            for p, e in factorize(k).items():
-                assert is_prime(p)
-                prod *= p**e
-            assert prod == k
+            for p in primes:
+                prod *= p
+            assert prod * int(factored.cofactor[0]) == k
 
     @given(st.integers(min_value=1, max_value=10**6))
     def test_matches_mobius(self, k):
-        f = factorize(k)
-        if any(e > 1 for e in f.values()):
-            assert mobius(k) == 0
-        else:
-            assert mobius(k) == (-1) ** len(f)
+        factored = factor_elements([k])
+        f = sympy.factorint(k)
+        assert bool(factored.square[0]) == any(e > 1 for e in f.values())
+        if not factored.square[0]:
+            assert int(factored.omega[0]) == len(f)
 
     def test_prime_square_cofactor(self):
-        assert factorize(6 * 1_000_003**2) == {2: 1, 3: 1, 1_000_003: 2}
+        factored = factor_elements([6 * 1_000_003**2])
+        assert factored.hit_value.tolist() == [2, 3, 1_000_003]
+        assert factored.square.tolist() == [True]
 
 
 class TestPrimesUpto:
+    """The prime pool the factorization tests against."""
+
     @pytest.mark.parametrize(
         "x,expected",
         [
@@ -111,23 +114,23 @@ class TestPrimesUpto:
         ],
     )
     def test_examples(self, x, expected):
-        assert primes_upto(x) == expected
+        assert _prime_pool(x).tolist() == expected
 
     @pytest.mark.parametrize("x,expected", [(10, 4), (0, 0), (100, 25)])
     def test_prime_pi_examples(self, x, expected):
-        assert len(primes_upto(x)) == expected
+        assert len(_prime_pool(x)) == expected
 
     @given(st.integers(min_value=0, max_value=5000))
     @settings(max_examples=60)
     def test_pi_counts_primes_upto(self, x):
-        assert primes_upto(x) == [k for k in range(x + 1) if trial_division_prime(k)]
+        assert _prime_pool(x).tolist() == [k for k in range(x + 1) if trial_division_prime(k)]
 
     @pytest.mark.parametrize("x", [0, 1, 2, 3, 100, 10**5])
     def test_listing_matches_the_sieve_flags(self, x):
         flags = _eratosthenes(x)
-        primes = primes_upto(x)
-        assert primes == [i for i in range(2, x + 1) if flags[i]]
-        assert all(type(p) is int for p in primes)
+        primes = _prime_pool(x)
+        assert primes.dtype == np.uint64
+        assert primes.tolist() == [i for i in range(2, x + 1) if flags[i]] == primes_upto(x)
 
 
 class TestFactorElements:
@@ -147,9 +150,8 @@ class TestFactorElements:
     @settings(max_examples=100)
     def test_mobius_of_a_row_is_mobius(self, k):
         factored = factor_elements([k])
-        mu = 0 if factored.square[0] else (-1) ** int(factored.omega[0])
-        assert mu == mobius(k)
-        assert factored.proper.any() == (k > 1 and not is_prime(k))
+        assert row_mobius(factored, 0) == mobius(k)
+        assert factored.proper.any() == (k > 1 and not sympy.isprime(k))
 
     def test_blocks_split_a_pool_wider_than_a_block(self):
         # sqrt(max) of about 1.6e7 gives a pool of over 10^6 primes: each
@@ -222,7 +224,7 @@ class TestSquarefreeSupport:
         assert all(mobius(k) == 0 for k in skipped)
 
     def test_matches_the_mobius_sieve_route(self):
-        mu = mobius_sieve(4000)
+        mu = mobius_upto(4000)
         route = [k for k in range(1, 4001) if mu[k]]
         assert len(route) > 2000
         for n in range(1, 2001):
@@ -249,8 +251,6 @@ def test_smallest_prime_factor_bounded_by_sqrt():
 
     from qwitness.number_theory import _eratosthenes
 
-    mu = mobius_sieve(0)  # touch the sieve path for limit 0
-    assert mu == [0]
     flags = _eratosthenes(10**5)
     for s in range(4, 10**5 + 1):
         if flags[s]:

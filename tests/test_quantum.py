@@ -7,8 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_reference as dense
-from dense_reference import decode, indexed_amplitude, indexed_norm
-from qwitness.classify import schmidt
+from dense_reference import (
+    basis_index,
+    decode,
+    indexed_amplitude,
+    indexed_marking,
+    indexed_norm,
+    indexed_post_select,
+    indexed_prepare,
+    indexed_schmidt,
+    pairs_of_oracle,
+)
 from qwitness.errors import DomainError, QubitCapError
 from qwitness.number_theory import factor_elements
 from qwitness.quantum import (
@@ -16,16 +25,14 @@ from qwitness.quantum import (
     MarkedOracle,
     RegisterLayout,
     StateVector,
-    apply_marking,
     counting_error_bound,
     grover_iterations_optimal,
     grover_run,
-    post_select_flag,
-    prepare_superposition,
     quantum_count,
 )
-from qwitness.sequences import SatisfyingSet, Sequence
+from qwitness.sequences import SatisfyingSet
 from qwitness.witnesses import relation_composite, relation_identity, relation_mobius
+from reference_relations import relation_pairs, witnesses_of
 
 
 def synthetic_oracle(n, m_marked, w=1):
@@ -53,7 +60,7 @@ class TestLayout:
         for s in (0, 5, 15):
             for w in (0, 3, 7):
                 for f in (0, 1):
-                    assert decode(layout, layout.index(s, w, f)) == (s, w, f)
+                    assert decode(layout, basis_index(layout, s, w, f)) == (s, w, f)
 
     def test_cap_enforced(self):
         with pytest.raises(QubitCapError):
@@ -62,21 +69,21 @@ class TestLayout:
     def test_zero_width_w_register(self):
         layout = RegisterLayout.for_values([1, 2, 3], [0])
         assert layout.w_qubits == 0
-        assert decode(layout, layout.index(3, 0, 1)) == (3, 0, 1)
+        assert decode(layout, basis_index(layout, 3, 0, 1)) == (3, 0, 1)
 
 
 class TestPrepare:
     def test_two_by_one(self):
-        state = prepare_superposition([1, 3], [1])
+        state = indexed_prepare([1, 3], [1])
         assert indexed_amplitude(state, 1, 1, 0) == pytest.approx(1 / sqrt(2))
         assert indexed_amplitude(state, 3, 1, 0) == pytest.approx(1 / sqrt(2))
 
     def test_single_configuration(self):
-        state = prepare_superposition([5], [2])
+        state = indexed_prepare([5], [2])
         assert indexed_amplitude(state, 5, 2, 0) == pytest.approx(1.0)
 
     def test_uniform_eight(self):
-        state = prepare_superposition(range(2, 6), [2, 3])
+        state = indexed_prepare(range(2, 6), [2, 3])
         entries = state.to_json_entries()
         assert len(entries) == 8
         assert all(abs(complex(re, im)) == pytest.approx(1 / sqrt(8)) for _, re, im in entries)
@@ -86,12 +93,12 @@ class TestPrepare:
         ((1 << 60, 3, 7), (5, 1 << 40)),  # 103 qubits: Python int indices
     ], ids=["small", "past-64-bits"])
     def test_json_entries_in_basis_order(self, s_values, w_values):
-        state = prepare_superposition(s_values, w_values, cap=128)
+        state = indexed_prepare(s_values, w_values, cap=128)
         oracle = dense.oracle_of_pairs(s_values, w_values, {(s_values[0], w_values[1])})
-        state = apply_marking(state, oracle)
+        state = indexed_marking(state, oracle)
         layout = state.layout
         expected = sorted(
-            [layout.index(s, w, f), indexed_amplitude(state, s, w, f).real, 0.0]
+            [basis_index(layout, s, w, f), indexed_amplitude(state, s, w, f).real, 0.0]
             for s in s_values for w in w_values for f in (0, 1)
             if indexed_amplitude(state, s, w, f)
         )
@@ -101,49 +108,49 @@ class TestPrepare:
 
     def test_large_support_has_unit_norm(self):
         # 600k amplitudes: past the size where a BLAS-accumulated norm drifts by > 1e-12
-        state = prepare_superposition(range(1, 2001), range(1, 301))
+        state = indexed_prepare(range(1, 2001), range(1, 301))
         assert abs(indexed_norm(state) - 1.0) < 1e-13
 
     def test_duplicates_rejected(self):
         with pytest.raises(DomainError):
-            prepare_superposition([1, 1], [2])
+            indexed_prepare([1, 1], [2])
         with pytest.raises(DomainError):
-            prepare_superposition([1], [2, 2])
+            indexed_prepare([1], [2, 2])
 
 
 class TestMarking:
     def test_divisor_case(self):
-        rel = relation_composite(factor_elements(Sequence.from_values([4, 5])))
+        rel = relation_composite(factor_elements([4, 5]))
         oracle = MarkedOracle.from_relation([4, 5], rel)
-        state = prepare_superposition([4, 5], [2])
-        marked = apply_marking(state, oracle)
+        state = indexed_prepare([4, 5], [2])
+        marked = indexed_marking(state, oracle)
         assert indexed_amplitude(marked, 4, 2, 1) == pytest.approx(1 / sqrt(2))
         assert indexed_amplitude(marked, 4, 2, 0) == 0
         assert indexed_amplitude(marked, 5, 2, 0) == pytest.approx(1 / sqrt(2))
 
     def test_all_false_is_identity(self):
         oracle = dense.oracle_of_pairs((1, 2), (3,), ())
-        state = prepare_superposition([1, 2], [3])
-        assert np.allclose(apply_marking(state, oracle).amplitudes, state.amplitudes)
+        state = indexed_prepare([1, 2], [3])
+        assert np.allclose(indexed_marking(state, oracle).amplitudes, state.amplitudes)
 
     def test_self_pair(self):
         rel = relation_identity(SatisfyingSet((6,)))
         oracle = MarkedOracle.from_relation([6], rel)
-        state = prepare_superposition([6], [6])
-        marked = apply_marking(state, oracle)
+        state = indexed_prepare([6], [6])
+        marked = indexed_marking(state, oracle)
         assert indexed_amplitude(marked, 6, 6, 1) == pytest.approx(1.0)
 
     def test_involution(self):
         oracle = synthetic_oracle(6, 3)
-        state = prepare_superposition(range(1, 7), [1])
-        twice = apply_marking(apply_marking(state, oracle), oracle)
+        state = indexed_prepare(range(1, 7), [1])
+        twice = indexed_marking(indexed_marking(state, oracle), oracle)
         assert np.allclose(twice.amplitudes, state.amplitudes)
 
     def test_support_mismatch(self):
         oracle = synthetic_oracle(2, 1)
-        state = prepare_superposition([1, 2, 3], [1])
+        state = indexed_prepare([1, 2, 3], [1])
         with pytest.raises(DomainError):
-            apply_marking(state, oracle)
+            indexed_marking(state, oracle)
 
 
 class TestIterationCount:
@@ -271,59 +278,60 @@ class TestCounting:
         assert est.estimated_m == pytest.approx(n * sin(pi * k_best / 2**t) ** 2, abs=1e-9)
 
     def test_shortcut_counts_pairs(self):
-        rel = relation_composite(factor_elements(Sequence.from_range(2, 30)))
+        rel = relation_composite(factor_elements(range(2, 31)))
         oracle = MarkedOracle.from_relation(range(2, 31), rel)
-        assert len(oracle.marked) == len(rel.pairs())
+        assert len(pairs_of_oracle(oracle)) == len(relation_pairs(rel))
 
     def test_scattered_mask_is_the_pair_table(self):
-        rel = relation_composite(factor_elements(Sequence.from_range(2, 30)))
+        rel = relation_composite(factor_elements(range(2, 31)))
         s_values = tuple(range(30, 1, -1))  # any order of the s register
         oracle = MarkedOracle.from_relation(s_values, rel)
-        by_pairs = dense.oracle_of_pairs(s_values, rel.candidates, rel.pairs())
+        by_pairs = dense.oracle_of_pairs(s_values, rel.candidates, relation_pairs(rel))
         assert (oracle.mask == by_pairs.mask).all()
-        assert oracle.marked == by_pairs.marked == frozenset(rel.pairs())
-        assert oracle.marked_count == len(rel.pairs())
+        pairs = frozenset(relation_pairs(rel))
+        assert pairs_of_oracle(oracle) == pairs_of_oracle(by_pairs) == pairs
+        assert oracle.marked_count == len(relation_pairs(rel))
 
     def test_targets_outside_the_register_are_refused(self):
-        rel = relation_composite(factor_elements(Sequence.from_values([5, 6, 9])))
+        rel = relation_composite(factor_elements([5, 6, 9]))
         with pytest.raises(DomainError, match=r"marked pair \(9, 3\) outside the S x W support"):
             MarkedOracle.from_relation([5, 6], rel)
         with pytest.raises(DomainError, match=r"marked pair \(9, 3\) outside the S x W support"):
-            dense.oracle_of_pairs([5, 6], rel.candidates, rel.pairs())
+            dense.oracle_of_pairs([5, 6], rel.candidates, relation_pairs(rel))
         # a target without witnesses marks nothing, so it may be absent
-        rel = relation_mobius(factor_elements(Sequence.from_values([1, 2, 3, 6])))
-        assert rel.witnesses_of(1) == ()
-        assert MarkedOracle.from_relation([2, 3, 6], rel).marked == {(6, 2), (6, 3)}
+        rel = relation_mobius(factor_elements([1, 2, 3, 6]))
+        assert witnesses_of(rel, 1) == ()
+        assert pairs_of_oracle(MarkedOracle.from_relation([2, 3, 6], rel)) == {(6, 2), (6, 3)}
 
 
 class TestPostSelect:
     def test_uniform_marked_pairs(self):
         oracle = synthetic_oracle(4, 4)
-        state = apply_marking(prepare_superposition(range(1, 5), [1]), oracle)
-        kept = post_select_flag(state)
+        state = indexed_marking(indexed_prepare(range(1, 5), [1]), oracle)
+        kept = indexed_post_select(state)
         for s in range(1, 5):
             assert abs(indexed_amplitude(kept, s, 1, 1)) == pytest.approx(0.5)
 
     def test_single_marked_pair(self):
         oracle = synthetic_oracle(3, 1)
-        state = apply_marking(prepare_superposition(range(1, 4), [1]), oracle)
-        kept = post_select_flag(state)
+        state = indexed_marking(indexed_prepare(range(1, 4), [1]), oracle)
+        kept = indexed_post_select(state)
         assert abs(indexed_amplitude(kept, 1, 1, 1)) == pytest.approx(1.0)
 
     def test_identity_relation_gives_paired_form(self):
         rel = relation_identity(SatisfyingSet((1, 6, 10, 14)))
         oracle = MarkedOracle.from_relation([1, 6, 10, 14], rel)
-        state = apply_marking(
-            prepare_superposition([1, 6, 10, 14], [1, 6, 10, 14]), oracle
+        state = indexed_marking(
+            indexed_prepare([1, 6, 10, 14], [1, 6, 10, 14]), oracle
         )
-        kept = post_select_flag(state)
+        kept = indexed_post_select(state)
         for s in (1, 6, 10, 14):
             assert abs(indexed_amplitude(kept, s, s, 1)) == pytest.approx(1 / 2)
 
     def test_zero_marked_probability_rejected(self):
-        state = prepare_superposition([1, 2], [1])
+        state = indexed_prepare([1, 2], [1])
         with pytest.raises(DomainError):
-            post_select_flag(state)
+            indexed_post_select(state)
 
 
 @st.composite
@@ -339,9 +347,10 @@ def small_oracles(draw):
 
 def assert_same_state(new, old):
     """Support-indexed amplitudes equal the dense ones at their basis indices."""
-    index = np.array(
-        [[[new.layout.index(s, w, f) for f in (0, 1)] for w in new.w_values] for s in new.s_values]
-    )
+    index = np.array([
+        [[basis_index(new.layout, s, w, f) for f in (0, 1)] for w in new.w_values]
+        for s in new.s_values
+    ])
     assert new.amplitudes.shape == (len(new.s_values), len(new.w_values), 2)
     assert np.allclose(new.amplitudes, old.amplitudes[index], rtol=0, atol=1e-12)
     rest = old.amplitudes.copy()
@@ -358,10 +367,10 @@ class TestMatchesDenseReference:
     @settings(max_examples=150, deadline=None)
     def test_random_oracles(self, oracle, k, t):
         s_values, w_values = oracle.s_values, oracle.w_values
-        new = prepare_superposition(s_values, w_values, cap=64)
+        new = indexed_prepare(s_values, w_values, cap=64)
         old = dense.prepare_superposition(s_values, w_values, cap=64)
         assert_same_state(new, old)
-        assert_same_state(apply_marking(new, oracle), dense.apply_marking(old, oracle))
+        assert_same_state(indexed_marking(new, oracle), dense.apply_marking(old, oracle))
         assert_same_state(grover_state(oracle, k, new.layout), dense.grover_amplify(old, oracle, k))
         assert np.allclose(
             grover_run(oracle, k)[0], dense.grover_trace(old, oracle, k), rtol=0, atol=1e-12
@@ -378,11 +387,11 @@ class TestMatchesDenseReference:
         assert count.exact == reference.exact
         assert count.probability == pytest.approx(reference.probability, abs=1e-12)
 
-        if oracle.marked:
-            post = post_select_flag(apply_marking(new, oracle))
+        if oracle.marked_count:
+            post = indexed_post_select(indexed_marking(new, oracle))
             post_old = dense.post_select_flag(dense.apply_marking(old, oracle))
             assert_same_state(post, post_old)
-            spectrum, spectrum_old = schmidt(post), dense.schmidt(post_old)
+            spectrum, spectrum_old = indexed_schmidt(post), dense.schmidt(post_old)
             assert spectrum.rank == spectrum_old.rank
             assert np.allclose(
                 spectrum.coefficients, spectrum_old.coefficients, rtol=0, atol=1e-12

@@ -1,24 +1,15 @@
 import json
-from functools import cache
 from math import isqrt
-from unittest import mock
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_relations as reference
 from qwitness.errors import DomainError
-from qwitness.number_theory import (
-    factor_elements,
-    is_prime,
-    mobius,
-    mobius_sieve,
-    primes_upto,
-    recurrence_orbit,
-    squarefree_support,
-)
+from qwitness.number_theory import factor_elements, recurrence_orbit, squarefree_support
 from qwitness.sequences import (
     IsComposite,
     MobiusPlusOne,
@@ -34,6 +25,8 @@ from qwitness.witnesses import (
     relation_mobius,
     relation_recurrence,
 )
+from reference_numbers import is_composite, mobius, primes_upto
+from reference_relations import relation_pairs, witnesses_of
 
 
 def sf_seq(n):
@@ -64,20 +57,9 @@ def factor_rich_lists(draw, squarefree=False):
     return Sequence.from_values(sorted(values))
 
 
-# primes just past the 10^5 trial-division pool of the point routes; a
-# semiprime 2q, 3q or 5q keeps such a q as its cofactor
+# primes just past 10^5; a semiprime 2q, 3q or 5q keeps such a q as its
+# cofactor, far above the pool of its own small list
 PAST_POOL_PRIMES = [p for p in primes_upto(101_000) if p > 100_000]
-WIDE_MAX = 5 * PAST_POOL_PRIMES[-1]
-
-
-@cache
-def _mu_upto_wide_max():
-    return mobius_sieve(WIDE_MAX)
-
-
-def _mu_prefix(limit):
-    """mobius_sieve(limit), sliced from one sieve up to WIDE_MAX."""
-    return _mu_upto_wide_max()[: limit + 1]
 
 
 @st.composite
@@ -104,46 +86,45 @@ def wide_lists(draw):
 
 
 class TestOnePassFactorization:
-    """The divisibility pass against the scan builders and the point routes."""
+    """The divisibility pass against the scan builders and sympy."""
 
     @given(wide_lists())
     @settings(max_examples=120, deadline=None)
     def test_matches_the_scan_builders_and_the_point_routes(self, seq):
-        if seq.max >= 2**63:
+        if seq.elements[-1] >= 2**63:
             # sqrt(max) lies past the sieve guard, so both factored questions
             # refuse the list before the sieve is allocated
             for question in (IsComposite(), MobiusPlusOne()):
                 with pytest.raises(DomainError, match="exceeds the 200000000 guard"):
                     build_bitstring(seq, question)
             return
-        factored = factor_elements(seq)
+        factored = factor_elements(seq.elements)
         composite = build_bitstring(seq, IsComposite())
-        assert composite.bits == tuple(int(s > 1 and not is_prime(s)) for s in seq)
+        assert composite.bits == tuple(int(is_composite(s)) for s in seq.elements)
         assert (
             relation_composite(factored).to_json_dict()
             == reference.relation_composite(seq).to_json_dict()
         )
-        bad = [s for s in seq if mobius(s) == 0]
-        with mock.patch.object(reference, "mobius_sieve", _mu_prefix):
-            if bad:
-                with pytest.raises(DomainError) as bits_error:
-                    build_bitstring(seq, MobiusPlusOne())
-                assert str(bits_error.value) == (
-                    f"element {bad[0]}: mobius({bad[0]}) = 0; "
-                    "element outside the question's domain"
-                )
-                with pytest.raises(DomainError) as new:
-                    relation_mobius(factored)
-                with pytest.raises(DomainError) as old:
-                    reference.relation_mobius(seq)
-                assert str(new.value) == str(old.value) == f"element {bad[0]} is not squarefree"
-            else:
-                plus_one = build_bitstring(seq, MobiusPlusOne())
-                assert plus_one.bits == tuple(int(mobius(s) == 1) for s in seq)
-                assert (
-                    relation_mobius(factored).to_json_dict()
-                    == reference.relation_mobius(seq).to_json_dict()
-                )
+        bad = [s for s in seq.elements if mobius(s) == 0]
+        if bad:
+            with pytest.raises(DomainError) as bits_error:
+                build_bitstring(seq, MobiusPlusOne())
+            assert str(bits_error.value) == (
+                f"element {bad[0]}: mobius({bad[0]}) = 0; "
+                "element outside the question's domain"
+            )
+            with pytest.raises(DomainError) as new:
+                relation_mobius(factored)
+            with pytest.raises(DomainError) as old:
+                reference.relation_mobius(seq)
+            assert str(new.value) == str(old.value) == f"element {bad[0]} is not squarefree"
+        else:
+            plus_one = build_bitstring(seq, MobiusPlusOne())
+            assert plus_one.bits == tuple(int(mobius(s) == 1) for s in seq.elements)
+            assert (
+                relation_mobius(factored).to_json_dict()
+                == reference.relation_mobius(seq).to_json_dict()
+            )
 
 
 class TestRecurrenceRelation:
@@ -177,26 +158,26 @@ class TestRecurrenceRelation:
         q = lo % p
         seq = Sequence.from_range(lo, lo + span)
         rel = relation_recurrence(seq, p, q)
-        assert rel.targets == tuple(s for s in seq if s % p == q)
+        assert rel.targets == tuple(s for s in seq.elements if s % p == q)
         assert len(rel.candidates) == 1
 
 
 class TestCompositeRelation:
     def test_range_100(self):
-        rel = relation_composite(factor_elements(Sequence.from_range(2, 100)))
+        rel = relation_composite(factor_elements(range(2, 101)))
         assert rel.candidates == (2, 3, 5, 7)
-        assert rel.witnesses_of(49) == (7,)
-        assert rel.witnesses_of(30) == (2, 3, 5)
+        assert witnesses_of(rel, 49) == (7,)
+        assert witnesses_of(rel, 30) == (2, 3, 5)
 
     def test_all_prime_sequence(self):
-        rel = relation_composite(factor_elements(Sequence.from_values([2, 3, 5, 7])))
+        rel = relation_composite(factor_elements([2, 3, 5, 7]))
         assert rel.targets == ()
 
     @given(factor_rich_lists())
     @settings(max_examples=150)
     def test_matches_the_scan_builder(self, seq):
         assert (
-            relation_composite(factor_elements(seq)).to_json_dict()
+            relation_composite(factor_elements(seq.elements)).to_json_dict()
             == reference.relation_composite(seq).to_json_dict()
         )
 
@@ -204,40 +185,38 @@ class TestCompositeRelation:
     def test_matches_the_scan_builder_on_ranges(self, hi):
         seq = Sequence.from_range(2, hi)
         assert (
-            relation_composite(factor_elements(seq)).to_json_dict()
+            relation_composite(factor_elements(seq.elements)).to_json_dict()
             == reference.relation_composite(seq).to_json_dict()
         )
 
     @given(st.integers(min_value=4, max_value=400))
     @settings(max_examples=40)
     def test_every_composite_target_covered_and_no_prime_targets(self, hi):
-        from qwitness.number_theory import is_prime
-
-        rel = relation_composite(factor_elements(Sequence.from_range(2, hi)))
+        rel = relation_composite(factor_elements(range(2, hi + 1)))
         for t, row in zip(rel.targets, rel.incidence):
-            assert not is_prime(t)
+            assert is_composite(t)
             assert row, f"composite {t} has no witness"
-        assert all(not is_prime(t) or t in rel.candidates for t in rel.targets)
-        assert set(rel.targets) == {s for s in range(2, hi + 1) if not is_prime(s)}
+        assert all(is_composite(t) or t in rel.candidates for t in rel.targets)
+        assert set(rel.targets) == {s for s in range(2, hi + 1) if is_composite(s)}
 
 
 class TestMobiusRelation:
     def test_paired_witnesses(self):
-        rel = relation_mobius(factor_elements(sf_seq(25)))
-        assert rel.witnesses_of(35) == (5, 7)
-        assert rel.witnesses_of(21) == (3, 7)
+        rel = relation_mobius(factor_elements(squarefree_support(25)))
+        assert witnesses_of(rel, 35) == (5, 7)
+        assert witnesses_of(rel, 21) == (3, 7)
 
     def test_one_is_uncovered(self):
-        rel = relation_mobius(factor_elements(sf_seq(10)))
-        assert rel.witnesses_of(1) == ()
+        rel = relation_mobius(factor_elements(squarefree_support(10)))
+        assert witnesses_of(rel, 1) == ()
         assert 1 in coverage_check(rel).uncovered
 
     def test_non_squarefree_rejected(self):
         with pytest.raises(DomainError):
-            relation_mobius(factor_elements(Sequence.from_values([1, 2, 4])))
+            relation_mobius(factor_elements([1, 2, 4]))
 
     def test_full_pool_retained(self):
-        rel = relation_mobius(factor_elements(sf_seq(10)))
+        rel = relation_mobius(factor_elements(squarefree_support(10)))
         assert rel.full_pool == tuple(
             t for t in squarefree_support(10) if mobius(t) == -1
         )
@@ -247,14 +226,14 @@ class TestMobiusRelation:
     @settings(max_examples=150)
     def test_matches_the_scan_builder(self, seq):
         assert (
-            relation_mobius(factor_elements(seq)).to_json_dict()
+            relation_mobius(factor_elements(seq.elements)).to_json_dict()
             == reference.relation_mobius(seq).to_json_dict()
         )
 
     @pytest.mark.parametrize("n", [1, 2, 300])
     def test_matches_the_scan_builder_on_squarefree_prefixes(self, n):
         assert (
-            relation_mobius(factor_elements(sf_seq(n))).to_json_dict()
+            relation_mobius(factor_elements(squarefree_support(n))).to_json_dict()
             == reference.relation_mobius(sf_seq(n)).to_json_dict()
         )
 
@@ -263,7 +242,7 @@ class TestMobiusRelation:
     def test_rejects_the_same_first_element(self, seq):
         # every such list holds a prime square, so both builders must refuse it
         with pytest.raises(DomainError) as new:
-            relation_mobius(factor_elements(seq))
+            relation_mobius(factor_elements(seq.elements))
         with pytest.raises(DomainError) as old:
             reference.relation_mobius(seq)
         assert str(new.value) == str(old.value)
@@ -272,13 +251,11 @@ class TestMobiusRelation:
     @settings(max_examples=30)
     def test_witness_count_is_prime_omega(self, n):
         # targets above 1 have exactly one witness per prime factor, evenly many
-        from qwitness.number_theory import factorize
-
-        rel = relation_mobius(factor_elements(sf_seq(n)))
+        rel = relation_mobius(factor_elements(squarefree_support(n)))
         for t, row in zip(rel.targets, rel.incidence):
             if t == 1:
                 continue
-            omega = len(factorize(t))
+            omega = len(sympy.factorint(t))
             assert len(row) == omega
             assert omega % 2 == 0
 
@@ -295,12 +272,12 @@ class TestIdentityRelation:
 
     def test_singleton(self):
         rel = relation_identity(SatisfyingSet((42,)))
-        assert rel.pairs() == ((42, 42),)
+        assert relation_pairs(rel) == ((42, 42),)
 
 
 class TestCoverageCheck:
     def test_mobius_triple_anomalies(self):
-        rel = relation_mobius(factor_elements(sf_seq(25)))
+        rel = relation_mobius(factor_elements(squarefree_support(25)))
         report = coverage_check(rel)
         multi = {t for t, _ in report.multiply_witnessed}
         assert {15, 21, 35} <= multi
@@ -314,23 +291,24 @@ class TestCoverageCheck:
         assert report.shared_witnesses == ()
 
     def test_composite_shared_witness_two(self):
-        report = coverage_check(relation_composite(factor_elements(Sequence.from_range(2, 100))))
+        report = coverage_check(relation_composite(factor_elements(range(2, 101))))
         assert (2, 49) in report.shared_witnesses
 
 
 class TestRelationMechanics:
     def test_restrict_targets(self):
-        rel = relation_mobius(factor_elements(sf_seq(25))).restrict_targets({15, 21, 35})
+        rel = relation_mobius(factor_elements(squarefree_support(25)))
+        rel = rel.restrict_targets({15, 21, 35})
         assert rel.targets == (15, 21, 35)
-        assert rel.witnesses_of(15) == (3, 5)
+        assert witnesses_of(rel, 15) == (3, 5)
 
     def test_unknown_target_rejected(self):
         rel = relation_identity(SatisfyingSet((1, 2)))
         with pytest.raises(DomainError):
-            rel.witnesses_of(99)
+            witnesses_of(rel, 99)
 
     def test_json_round_trip(self):
-        rel = relation_mobius(factor_elements(sf_seq(13)))
+        rel = relation_mobius(factor_elements(squarefree_support(13)))
         d = json.loads(json.dumps(rel.to_json_dict()))
         back = reference.relation_of_rows(
             d["targets"], d["candidates"], d["incidence"], d["oracle"], tuple(d["full_pool"])
