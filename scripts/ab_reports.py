@@ -11,6 +11,10 @@ each round, then the median over rounds, then what a no-regression rule
 reads: how many rounds B was faster than A, and the distance between the
 quartiles of A's round medians, to set against the gap between the two
 medians. Inputs come from ``perfbench/workloads.py``, which is only read.
+
+Each run also hashes every report it writes. When a run's report bytes
+differ from the first run's on some input, the script stops with exit
+status 1 and names the first such input, so every A/B is also a byte check.
 """
 
 from __future__ import annotations
@@ -25,31 +29,42 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 CHILD = """
-import json, os, sys, tempfile, time
+import hashlib, json, os, sys, tempfile, time
 sys.path.insert(0, sys.argv[1])
 from workloads import generate
 from qwitness.cli import main
 _warmup, inputs = generate(sys.argv[2], int(sys.argv[3]))
 distinct = list({tuple(argv): list(argv) for argv in inputs}.values())
 out = os.path.join(tempfile.mkdtemp(), "report.json")
-times = []
+times, digests = [], []
 for argv in distinct:
     main(argv + ["--out", out])
     start = time.perf_counter()
     main(argv + ["--out", out])
     times.append(time.perf_counter() - start)
+    with open(out, "rb") as fh:
+        digests.append(hashlib.sha256(fh.read()).hexdigest())
 os.remove(out)
 os.rmdir(os.path.dirname(out))
-print(json.dumps(times))
+print(json.dumps({"argv": distinct, "times": times, "sha256": digests}))
 """
 
 
-def run_side(src: str, workload: str, seed: int) -> float:
+def run_side(src: str, workload: str, seed: int) -> dict:
+    """One fresh interpreter's pass over the distinct inputs."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     done = subprocess.run(
         [sys.executable, "-c", CHILD, os.path.join(ROOT, "perfbench"), workload, str(seed)],
         env=env, capture_output=True, text=True, check=True)
-    return 1000.0 * statistics.median(json.loads(done.stdout))
+    return json.loads(done.stdout)
+
+
+def first_difference(run: dict, first: dict) -> list[str] | None:
+    """The first input whose report bytes differ between two runs, else None."""
+    for argv, digest, expected in zip(first["argv"], run["sha256"], first["sha256"]):
+        if digest != expected:
+            return argv
+    return None
 
 
 def main() -> None:
@@ -62,9 +77,15 @@ def main() -> None:
     args = parser.parse_args()
     sides = {"A": args.src_a, "B": args.src_b}
     medians = {"A": [], "B": []}
+    first = None
     for k in range(args.rounds):
         for side in ("A", "B") if k % 2 == 0 else ("B", "A"):
-            medians[side].append(run_side(sides[side], args.workload, args.seed))
+            run = run_side(sides[side], args.workload, args.seed)
+            first = first or run
+            differs = first_difference(run, first)
+            if differs is not None:
+                sys.exit(f"{side}'s reports differ from the first run's on: {' '.join(differs)}")
+            medians[side].append(1000.0 * statistics.median(run["times"]))
         print(f"round {k + 1}: A {medians['A'][-1]:.3f} ms  B {medians['B'][-1]:.3f} ms",
               flush=True)
     a, b = (statistics.median(medians[side]) for side in ("A", "B"))

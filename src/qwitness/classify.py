@@ -8,8 +8,9 @@ States where some element carries several witnesses fall outside that family
 and are labelled NonCanonical.
 
 That state carries one amplitude on every marked pair and nothing elsewhere,
-so ``classify_marked`` reads it from the oracle's mask and that amplitude;
-no state vector is built.
+so ``classify_marked`` reads it from the oracle's marked cells and that
+amplitude, in time linear in the marked pairs apart from one sort by column
+and the SVD of the trimmed flag matrix; no state vector is built.
 """
 
 from __future__ import annotations
@@ -21,11 +22,9 @@ from math import log2
 import numpy as np
 
 from .errors import DomainError
-from .quantum import MarkedOracle
+from .quantum import MarkedOracle, run_starts
 
 RANK_TOL = 1e-10
-_AMP_TOL = 1e-12
-_UNIFORM_TOL = 1e-9
 
 
 class RandomnessRegime(enum.Enum):
@@ -73,53 +72,44 @@ def entanglement_entropy(spectrum: SchmidtSpectrum) -> float:
 
 def classify_marked(oracle: MarkedOracle, amplitude: float) -> RandomnessClass:
     """The regime of the post-selected marked state, which carries one
-    ``amplitude`` on every marked pair and nothing elsewhere."""
-    rows = np.flatnonzero(oracle.mask.any(axis=1))
-    cols = np.flatnonzero(oracle.mask.any(axis=0))
-    # complex, as in the state, so the SVD reads the same bytes
-    matrix = oracle.mask[np.ix_(rows, cols)] * complex(amplitude)
-    return classify_grid(matrix, oracle, rows, cols)
+    ``amplitude`` on every marked pair and nothing elsewhere.
 
-
-def classify_grid(
-    matrix: np.ndarray, oracle: MarkedOracle, rows: np.ndarray, cols: np.ndarray
-) -> RandomnessClass:
-    """Name the regime of a flag matrix over the oracle's value registers,
-    given as its weighted ``rows`` and ``cols`` (ascending indices into the
-    registers) and the block ``matrix`` they cut out; it is zero elsewhere.
-
-    Blocks are the occupied rows of each occupied witness column of the
-    (s, w) grid. One block is NoRandomness, all-singleton blocks are Maximal,
-    anything in between is Partial. A state whose support pairs some element
-    with several witnesses, or whose amplitudes are not uniform, is not of
+    Its flag matrix, trimmed to the marked rows and columns, goes to the SVD.
+    Blocks are the marked rows of each marked witness column. One block is
+    NoRandomness, all-singleton blocks are Maximal, anything in between is
+    Partial. A state that pairs some element with several witnesses is not of
     that family and comes back NonCanonical.
     """
-    magnitudes = np.abs(matrix)
-    occupied = magnitudes > _AMP_TOL
-    if not occupied.any():
+    if not oracle.marked.size:
         raise DomainError("empty marked support")
-    stray = occupied > oracle.mask[np.ix_(rows, cols)]
-    if stray.any():
-        i, j = np.argwhere(stray)[0]
-        s, w = oracle.s_values[rows[i]], oracle.w_values[cols[j]]
-        raise DomainError(f"occupied pair ({s}, {w}) is not marked by the relation")
+    row, col = np.divmod(oracle.marked, len(oracle.w_values))
+    # the cells ascend, so each row's cells form one run
+    new_row = run_starts(row)
+    by_col = np.argsort(col, kind="stable")
+    col_sorted = col[by_col]
+    new_col = run_starts(col_sorted)
+    at_col = np.empty_like(by_col)
+    at_col[by_col] = np.cumsum(new_col) - 1
+    n_rows, n_cols = int(np.count_nonzero(new_row)), int(np.count_nonzero(new_col))
+    # complex and C-ordered, as in the state, so the SVD reads the same bytes
+    matrix = np.zeros((n_rows, n_cols), dtype=np.complex128)
+    matrix[np.cumsum(new_row) - 1, at_col] = complex(amplitude)
     spectrum = _schmidt_split(matrix)
     entropy = entanglement_entropy(spectrum)
-    mags = magnitudes[occupied]
-    if occupied.sum(axis=1).max() > 1 or mags.max() - mags.min() > _UNIFORM_TOL:
+    if n_rows < row.size:
         return RandomnessClass(RandomnessRegime.NON_CANONICAL, entropy, None, spectrum)
-    s_values = np.array(list(map(oracle.s_values.__getitem__, rows.tolist())), dtype=object)
+    # one cell per row: each column's run of the column order is its block
+    s_of = list(map(oracle.s_values.__getitem__, row[by_col].tolist()))
+    bounds = [*np.flatnonzero(new_col).tolist(), len(s_of)]
     blocks = tuple(
         sorted(
-            (oracle.w_values[cols[j]], tuple(sorted(s_values[occupied[:, j]].tolist())))
-            for j in np.flatnonzero(occupied.any(axis=0))
+            (oracle.w_values[c], tuple(sorted(s_of[a:b])))
+            for c, a, b in zip(col_sorted[new_col].tolist(), bounds, bounds[1:])
         )
     )
-    n_blocks = len(blocks)
-    n_elements = int(occupied.any(axis=1).sum())
-    if n_blocks == n_elements:
+    if n_cols == n_rows:
         regime = RandomnessRegime.MAXIMAL
-    elif n_blocks == 1:
+    elif n_cols == 1:
         regime = RandomnessRegime.NO_RANDOMNESS
     else:
         regime = RandomnessRegime.PARTIAL

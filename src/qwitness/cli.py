@@ -270,22 +270,31 @@ def _row_texts(rows: list, inner: str, floats: _FloatText) -> list[str] | None:
     return list(map(template.format, *columns))
 
 
-def _encode(value, level: int, floats: _FloatText) -> str:
+def _encode(value, level: int, floats: _FloatText, dicts: dict) -> str:
     """``json.dumps(value, indent=2)`` at nesting ``level``, floats at 12 digits.
 
     Lists of scalars, and lists of rows of scalars of one width, are joined in
-    one step; anything else recurses. Dict keys must be strings.
+    one step; anything else recurses. Dict keys must be strings. ``dicts``
+    keeps the text of each dict object at each level, for one emission: a
+    dict that appears twice is written once.
     """
     if isinstance(value, dict):
         if not value:
             return "{}"
+        text = dicts.get((id(value), level))
+        if text is not None:
+            return text
         inner = "\n" + _INDENT * (level + 1)
         items = []
         for key, item in value.items():
             if not isinstance(key, str):
                 raise TypeError(f"report keys must be strings, got {key!r}")
-            items.append(f"{encode_basestring_ascii(key)}: {_encode(item, level + 1, floats)}")
-        return "{" + inner + ("," + inner).join(items) + "\n" + _INDENT * level + "}"
+            items.append(
+                f"{encode_basestring_ascii(key)}: {_encode(item, level + 1, floats, dicts)}"
+            )
+        text = "{" + inner + ("," + inner).join(items) + "\n" + _INDENT * level + "}"
+        dicts[id(value), level] = text
+        return text
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
@@ -294,7 +303,7 @@ def _encode(value, level: int, floats: _FloatText) -> str:
         if texts is None:
             texts = _row_texts(value, inner, floats)
         if texts is None:
-            texts = [_encode(item, level + 1, floats) for item in value]
+            texts = [_encode(item, level + 1, floats, dicts) for item in value]
         return "[" + inner + ("," + inner).join(texts) + "\n" + _INDENT * level + "]"
     if isinstance(value, bool) or value is None:
         return _SCALAR_TEXT[type(value)](value)
@@ -324,7 +333,7 @@ def emit_json(body_key: str, body: dict, command: str, config: RunConfig) -> str
         },
         body_key: body,
     }
-    return _encode(envelope, 0, _FloatText()) + "\n"
+    return _encode(envelope, 0, _FloatText(), {}) + "\n"
 
 
 def _write(path: str | None, payload: str) -> None:

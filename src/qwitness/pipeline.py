@@ -37,6 +37,7 @@ from .quantum import (
     grover_run,
     marked_amplitude,
     quantum_count,
+    run_starts,
 )
 from .sequences import (
     BitString,
@@ -179,6 +180,7 @@ class RandomnessReport:
 
         counting = self.quantum.counting
         mini = self.minimization
+        primary = class_dict(self.randomness)
         ratio = self.compression_ratio
         return {
             "sequence": {
@@ -234,9 +236,12 @@ class RandomnessReport:
                 "prefactor": {"applied": APPLIED_PREFACTOR, "nominal": NOMINAL_PREFACTOR},
             },
             "randomness": {
-                "primary": class_dict(self.randomness),
+                "primary": primary,
                 "raw": class_dict(self.randomness_raw),
-                "assigned": class_dict(self.randomness_assigned),
+                # the cover reading is often both; the emitter writes it once
+                "assigned": primary
+                if self.randomness_assigned is self.randomness
+                else class_dict(self.randomness_assigned),
             },
             "notes": list(self.notes),
         }
@@ -345,8 +350,8 @@ def _run_quantum(seq: Sequence, relation: WitnessRelation, options: AnalyzeOptio
         grover_iterations=iterations,
         grover_success=trace[-1],
         grover_closed_form=sin((2 * iterations + 1) * asin(sqrt(m_marked / oracle.support))) ** 2,
-        # the mask is the post-selected support by construction; this checks
-        # that the scatter kept every marked pair
+        # the marked cells are the post-selected support by construction; this
+        # checks that the scatter kept every marked pair
         post_support_matches_pairs=oracle.marked_count == len(relation.marked_pairs[0]),
     )
     return block, oracle
@@ -359,18 +364,19 @@ def _one_witness_each(
     registers: each covered target keeps its witness under the injective
     assignment when it exists, else its smallest chosen cover witness (the
     cover holds one for every covered target)."""
-    rows = np.flatnonzero(raw.mask.any(axis=1))  # the covered targets, in order
-    column = dict(zip(raw.w_values, range(len(raw.w_values))))
+    m = len(raw.w_values)
+    row, col = np.divmod(raw.marked, m)
+    column = dict(zip(raw.w_values, range(m)))
     if assignment is not None:
+        rows = row[run_starts(row)]  # the covered targets, in order
         # keyed by target, ascending like the rows
         picks = np.fromiter(map(column.__getitem__, assignment.values()), np.intp, len(rows))
-    else:
-        # the chosen witnesses ascend, so a row's first marked one is its least
-        chosen = np.fromiter(map(column.__getitem__, cover.chosen), np.intp)
-        picks = chosen[raw.mask[rows][:, chosen].argmax(axis=1)]
-    mask = np.zeros_like(raw.mask)
-    mask[rows, picks] = True
-    return MarkedOracle(raw.s_values, raw.w_values, mask)
+        return MarkedOracle(raw.s_values, raw.w_values, rows * m + picks)
+    chosen = np.zeros(m, dtype=bool)
+    chosen[list(map(column.__getitem__, cover.chosen))] = True
+    # a row's cells ascend by column, so its first chosen one is its least
+    hit = np.flatnonzero(chosen[col])
+    return MarkedOracle(raw.s_values, raw.w_values, raw.marked[hit[run_starts(row[hit])]])
 
 
 def minimize_covered(

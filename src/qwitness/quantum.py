@@ -20,11 +20,13 @@ steps keep every marked amplitude equal and every unmarked amplitude equal,
 so the t-bit phase register distribution is computed exactly from two scalar
 trajectories, no sampling involved, in memory that depends on t only.
 
-Marking and post-selecting the prepared state leaves one amplitude c on each
-marked pair's flag 1, so no marked or post-selected state is built: readers
-take the oracle's mask and ``marked_amplitude``. The prepare, mark and
-post-select chain that builds those states survives only in the tests, as the
-reference these readings are checked against bit for bit.
+The oracle holds the marked pairs as their ascending flat cells i*m + j of
+the (n, m) table, so every reader costs O(marked pairs) and no reader builds
+the table. Marking and post-selecting the prepared state leaves one amplitude
+c on each marked pair's flag 1, so no marked or post-selected state is built:
+readers take the oracle's cells and ``marked_amplitude``. The prepare, mark
+and post-select chain that builds those states survives only in the tests, as
+the reference these readings are checked against bit for bit.
 """
 
 from __future__ import annotations
@@ -122,28 +124,49 @@ class StateVector:
 
 def amplified_state(final: np.ndarray, oracle: MarkedOracle, layout: RegisterLayout) -> StateVector:
     """Grover's final state from ``final``, the flag-0 slice ``grover_run`` returns."""
-    shape = oracle.mask.shape
+    shape = (len(oracle.s_values), len(oracle.w_values))
     amps = np.zeros((*shape, 2), dtype=np.complex128)
     amps[:, :, 0] = final.reshape(shape)
     return StateVector(amps, oracle.s_values, oracle.w_values, layout)
 
 
-class MarkedOracle:
-    """Truth table of the marking rule over the s and w value sets.
+def run_starts(keys: np.ndarray) -> np.ndarray:
+    """True where a run of equal values starts in ``keys``, False elsewhere."""
+    starts = np.empty(keys.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    return starts
 
-    ``mask`` is the (n, m) bool table in (s_values, w_values) order, which
-    ``from_relation`` fills by one scatter.
+
+class MarkedOracle:
+    """The marking rule over the s and w value sets, held as the cells it marks.
+
+    ``marked`` holds the flat index ``i*m + j`` of every marked pair
+    (s_values[i], w_values[j]), strictly ascending: the marked cells of the
+    (n, m) table in row-major order, which no reader builds.
     """
 
-    def __init__(self, s_values: tuple, w_values: tuple, mask: np.ndarray):
-        if mask.shape != (len(s_values), len(w_values)):
-            raise DomainError("oracle mask does not match the value registers")
-        self.s_values, self.w_values, self.mask = s_values, w_values, mask
-        self.marked_count = int(np.count_nonzero(mask))
+    def __init__(self, s_values: tuple, w_values: tuple, marked: np.ndarray):
+        step = marked[1:] - marked[:-1]
+        if step.size and step.min() <= 0:
+            k = int(np.argmax(step <= 0))
+            if step[k] == 0:
+                raise DomainError(f"marked cell {marked[k]} repeats")
+            raise DomainError(f"marked cells out of order: {marked[k]} before {marked[k + 1]}")
+        # ascending, so the ends bound every cell
+        if marked.size and (marked[0] < 0 or marked[-1] >= len(s_values) * len(w_values)):
+            cell = marked[0] if marked[0] < 0 else marked[-1]
+            raise DomainError(
+                f"marked cell {cell} outside the {len(s_values)} x {len(w_values)} support"
+            )
+        self.s_values, self.w_values, self.marked = s_values, w_values, marked
+        self.marked_count = len(marked)
 
     @classmethod
     def from_relation(cls, s_values, relation) -> "MarkedOracle":
-        """The mask of a relation's marked pairs over the s values, by one scatter."""
+        """The cells of a relation's marked pairs over the s values. The pairs
+        come sorted by target, so the cells ascend unless the s register holds
+        the targets in another order."""
         s_values = tuple(s_values)
         s_index = dict(zip(s_values, range(len(s_values))))
         rows = np.fromiter(map(s_index.get, relation.targets, repeat(-1)), np.intp,
@@ -154,9 +177,10 @@ class MarkedOracle:
             k = int(np.argmax(rows < 0))  # the first pair in row order
             t, w = relation.targets[target[k]], relation.candidates[candidate[k]]
             raise DomainError(f"marked pair ({t}, {w}) outside the S x W support")
-        mask = np.zeros((len(s_values), len(relation.candidates)), dtype=bool)
-        mask[rows, candidate] = True
-        return cls(s_values, relation.candidates, mask)
+        marked = rows * len(relation.candidates) + candidate
+        if (rows[1:] < rows[:-1]).any():
+            marked.sort()
+        return cls(s_values, relation.candidates, marked)
 
     @property
     def support(self) -> int:
@@ -183,7 +207,7 @@ def grover_run(oracle: MarkedOracle, iterations: int) -> tuple[list[float], np.n
     if iterations < 0:
         raise DomainError("iteration count must be >= 0")
     sub = np.full(oracle.support, 1.0 / sqrt(oracle.support), dtype=np.complex128)
-    marked = np.flatnonzero(oracle.mask)  # gathers fewer cells than the boolean mask
+    marked = oracle.marked
     trace = [float(np.sum(np.abs(sub[marked]) ** 2))]
     for _ in range(iterations):
         sub[marked] *= -1.0
@@ -282,7 +306,7 @@ def marked_amplitude(oracle: MarkedOracle) -> float:
     in the same order."""
     a = 1.0 / sqrt(oracle.support)
     parts = np.zeros(4 * oracle.support)
-    at = 4 * np.flatnonzero(oracle.mask) + 2
+    at = 4 * oracle.marked + 2
     parts[at] = a * a
     norm = sqrt(float(np.sum(parts)))
     if norm < 1e-12:

@@ -10,22 +10,25 @@ tests compare the support-indexed code in ``qwitness.quantum`` and
 The support-indexed chain ``indexed_prepare -> indexed_marking ->
 indexed_post_select`` builds the marked, post-selected state as an (n, m, 2)
 ``qwitness.quantum.StateVector``, and ``indexed_schmidt`` and
-``indexed_classify`` read its flag matrix. The package reads that state from
-the oracle's mask and ``marked_amplitude`` instead; tests hold those readings
-to this chain bit for bit, and this chain to the dense one.
+``indexed_classify`` read its flag matrix. ``classify_grid`` names the regime
+of any such matrix, rejecting weight off the oracle's marked cells and
+non-uniform amplitudes. The package reads that state from the oracle's marked
+cells and ``marked_amplitude`` instead; tests hold those readings to this
+chain bit for bit, and this chain to the dense one.
 
 ``classify_per_pair`` is the original classifier, which walks the occupied
 (s, w) pairs of a support-indexed state one by one; tests compare the grid
-classifier in ``qwitness.classify`` against it.
+classifier against it.
 
 ``basis_index``, ``decode``, ``indexed_amplitude``, ``indexed_norm`` and
 ``indexed_support`` read registers and support-indexed states point by point,
 for the tests only.
 
-``oracle_of_pairs`` fills an oracle's mask pair by pair, checking each pair
-against the two value sets; tests compare ``MarkedOracle.from_relation``'s
-scatter against it. ``pairs_of_oracle`` reads the marked (s, w) value pairs
-back.
+``oracle_of_pairs`` fills an (n, m) mask pair by pair, checking each pair
+against the two value sets, and hands the oracle its marked cells; tests
+compare ``MarkedOracle.from_relation`` against it. ``oracle_mask`` is the
+(n, m) bool view of an oracle's cells and ``pairs_of_oracle`` reads the marked
+(s, w) value pairs back.
 """
 
 from __future__ import annotations
@@ -41,10 +44,7 @@ from qwitness.classify import (
     RandomnessClass,
     RandomnessRegime,
     SchmidtSpectrum,
-    _AMP_TOL,
-    _UNIFORM_TOL,
     _schmidt_split,
-    classify_grid,
     entanglement_entropy,
 )
 from qwitness.errors import DomainError
@@ -62,6 +62,9 @@ from qwitness.quantum import StateVector as IndexedStateVector
 from qwitness.witnesses import WitnessRelation
 from reference_relations import relation_pairs
 
+_AMP_TOL = 1e-12
+_UNIFORM_TOL = 1e-9
+
 
 def oracle_of_pairs(s_values, w_values, pairs) -> MarkedOracle:
     """The oracle marking exactly the given (s, w) value pairs."""
@@ -73,12 +76,19 @@ def oracle_of_pairs(s_values, w_values, pairs) -> MarkedOracle:
         if s not in s_index or w not in w_index:
             raise DomainError(f"marked pair ({s}, {w}) outside the S x W support")
         mask[s_index[s], w_index[w]] = True
-    return MarkedOracle(s_values, w_values, mask)
+    return MarkedOracle(s_values, w_values, np.flatnonzero(mask))
+
+
+def oracle_mask(oracle: MarkedOracle) -> np.ndarray:
+    """The (n, m) bool table of an oracle's marked cells, in register order."""
+    mask = np.zeros(oracle.support, dtype=bool)
+    mask[oracle.marked] = True
+    return mask.reshape(len(oracle.s_values), len(oracle.w_values))
 
 
 def pairs_of_oracle(oracle: MarkedOracle) -> frozenset[tuple[int, int]]:
-    """The marked (s, w) value pairs of an oracle's mask."""
-    rows, cols = np.nonzero(oracle.mask)
+    """The marked (s, w) value pairs of an oracle."""
+    rows, cols = np.divmod(oracle.marked, len(oracle.w_values))
     return frozenset(zip(map(oracle.s_values.__getitem__, rows.tolist()),
                          map(oracle.w_values.__getitem__, cols.tolist())))
 
@@ -137,7 +147,8 @@ def indexed_marking(state: IndexedStateVector, oracle: MarkedOracle) -> IndexedS
             raise DomainError("state value registers differ from the oracle support")
         amps = amps[np.ix_([rows[s] for s in oracle.s_values], [cols[w] for w in oracle.w_values])]
     amps = amps.copy()
-    amps[oracle.mask] = amps[oracle.mask][:, ::-1]
+    mask = oracle_mask(oracle)
+    amps[mask] = amps[mask][:, ::-1]
     return IndexedStateVector(amps, oracle.s_values, oracle.w_values, state.layout)
 
 
@@ -182,6 +193,51 @@ def indexed_classify(state: IndexedStateVector, oracle: MarkedOracle) -> Randomn
     matrix = indexed_flag_matrix(state)
     rows, cols = _weighted(matrix)
     return classify_grid(matrix[np.ix_(rows, cols)], oracle, rows, cols)
+
+
+def classify_grid(
+    matrix: np.ndarray, oracle: MarkedOracle, rows: np.ndarray, cols: np.ndarray
+) -> RandomnessClass:
+    """Name the regime of a flag matrix over the oracle's value registers,
+    given as its weighted ``rows`` and ``cols`` (ascending indices into the
+    registers) and the block ``matrix`` they cut out; it is zero elsewhere.
+
+    Blocks are the occupied rows of each occupied witness column of the
+    (s, w) grid. One block is NoRandomness, all-singleton blocks are Maximal,
+    anything in between is Partial. A state whose support pairs some element
+    with several witnesses, or whose amplitudes are not uniform, is not of
+    that family and comes back NonCanonical.
+    """
+    magnitudes = np.abs(matrix)
+    occupied = magnitudes > _AMP_TOL
+    if not occupied.any():
+        raise DomainError("empty marked support")
+    stray = occupied > oracle_mask(oracle)[np.ix_(rows, cols)]
+    if stray.any():
+        i, j = np.argwhere(stray)[0]
+        s, w = oracle.s_values[rows[i]], oracle.w_values[cols[j]]
+        raise DomainError(f"occupied pair ({s}, {w}) is not marked by the relation")
+    spectrum = _schmidt_split(matrix)
+    entropy = entanglement_entropy(spectrum)
+    mags = magnitudes[occupied]
+    if occupied.sum(axis=1).max() > 1 or mags.max() - mags.min() > _UNIFORM_TOL:
+        return RandomnessClass(RandomnessRegime.NON_CANONICAL, entropy, None, spectrum)
+    s_values = np.array(list(map(oracle.s_values.__getitem__, rows.tolist())), dtype=object)
+    blocks = tuple(
+        sorted(
+            (oracle.w_values[cols[j]], tuple(sorted(s_values[occupied[:, j]].tolist())))
+            for j in np.flatnonzero(occupied.any(axis=0))
+        )
+    )
+    n_blocks = len(blocks)
+    n_elements = int(occupied.any(axis=1).sum())
+    if n_blocks == n_elements:
+        regime = RandomnessRegime.MAXIMAL
+    elif n_blocks == 1:
+        regime = RandomnessRegime.NO_RANDOMNESS
+    else:
+        regime = RandomnessRegime.PARTIAL
+    return RandomnessClass(regime, entropy, blocks, spectrum)
 
 
 @dataclass

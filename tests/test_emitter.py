@@ -44,6 +44,14 @@ def test_matches_rounding_then_json_dumps(body):
     assert_same_bytes(body)
 
 
+def test_a_dict_shared_across_keys_and_levels():
+    """One dict object under two keys of one dict and at two deeper levels:
+    the text kept for a dict at one level must not be reused at another."""
+    shared = {"entropy_bits": 0.123456789012345, "blocks": [[2, [4, 6]], [3, [9]]]}
+    body = {"primary": shared, "assigned": shared, "nested": {"again": shared}, "listed": [shared]}
+    assert_same_bytes(body)
+
+
 def test_float_subclass_is_rounded_like_a_float():
     np = pytest.importorskip("numpy")
     assert_same_bytes({"x": np.float64(0.1234567890123456), "xs": [np.float64(-0.0), 1.5]})

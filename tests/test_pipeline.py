@@ -330,11 +330,11 @@ class TestComputeOnce:
     )
     def test_one_schmidt_split_per_classification(self, monkeypatch, seq, question):
         module = sys.modules["qwitness.classify"]  # the package binds the name to the function
-        names = ("classify_marked", "classify_grid", "_schmidt_split")
+        names = ("classify_marked", "_schmidt_split")
         calls = self.counted(monkeypatch, [(module, name) for name in names])
         analyze(seq, question)
         assert calls["classify_marked"] >= 2
-        assert calls["_schmidt_split"] == calls["classify_grid"] == calls["classify_marked"], calls
+        assert calls["_schmidt_split"] == calls["classify_marked"], calls
 
     @pytest.mark.parametrize(
         "seq, question",

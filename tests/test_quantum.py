@@ -44,13 +44,14 @@ def synthetic_oracle(n, m_marked, w=1):
 
 def marked_mass(final, oracle):
     """Total probability on the oracle's marked (s, w) pairs of a flag-0 slice."""
-    return float(np.sum(np.abs(final[oracle.mask.ravel()]) ** 2))
+    return float(np.sum(np.abs(final[oracle.marked]) ** 2))
 
 
 def grover_state(oracle, k, layout):
     """The support-indexed state after k rounds: the final slice on flag 0."""
-    amps = np.zeros((*oracle.mask.shape, 2), dtype=np.complex128)
-    amps[:, :, 0] = grover_run(oracle, k)[1].reshape(oracle.mask.shape)
+    shape = (len(oracle.s_values), len(oracle.w_values))
+    amps = np.zeros((*shape, 2), dtype=np.complex128)
+    amps[:, :, 0] = grover_run(oracle, k)[1].reshape(shape)
     return StateVector(amps, oracle.s_values, oracle.w_values, layout)
 
 
@@ -287,7 +288,7 @@ class TestCounting:
         s_values = tuple(range(30, 1, -1))  # any order of the s register
         oracle = MarkedOracle.from_relation(s_values, rel)
         by_pairs = dense.oracle_of_pairs(s_values, rel.candidates, relation_pairs(rel))
-        assert (oracle.mask == by_pairs.mask).all()
+        assert oracle.marked.tobytes() == by_pairs.marked.tobytes()
         pairs = frozenset(relation_pairs(rel))
         assert pairs_of_oracle(oracle) == pairs_of_oracle(by_pairs) == pairs
         assert oracle.marked_count == len(relation_pairs(rel))
@@ -302,6 +303,27 @@ class TestCounting:
         rel = relation_mobius(factor_elements([1, 2, 3, 6]))
         assert witnesses_of(rel, 1) == ()
         assert pairs_of_oracle(MarkedOracle.from_relation([2, 3, 6], rel)) == {(6, 2), (6, 3)}
+
+
+class TestOracleCells:
+    def test_no_cells_mark_nothing(self):
+        oracle = MarkedOracle((1, 2), (3, 4, 5), np.array([], dtype=np.intp))
+        assert oracle.marked_count == 0
+        assert pairs_of_oracle(oracle) == frozenset()
+
+    @pytest.mark.parametrize(
+        "cells, text",
+        [
+            ([0, 2, 2, 4], r"marked cell 2 repeats"),
+            ([0, 3, 1], r"marked cells out of order: 3 before 1"),
+            ([1, 6], r"marked cell 6 outside the 2 x 3 support"),
+            ([-1, 2], r"marked cell -1 outside the 2 x 3 support"),
+        ],
+        ids=["repeat", "order", "past-the-end", "negative"],
+    )
+    def test_malformed_cells_are_refused(self, cells, text):
+        with pytest.raises(DomainError, match=text):
+            MarkedOracle((1, 2), (3, 4, 5), np.array(cells, dtype=np.intp))
 
 
 class TestPostSelect:
