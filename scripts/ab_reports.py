@@ -10,7 +10,10 @@ temporary file. Prints the median milliseconds per report of each tree in
 each round, then the median over rounds, then what a no-regression rule
 reads: how many rounds B was faster than A, and the distance between the
 quartiles of A's round medians, to set against the gap between the two
-medians. Inputs come from ``perfbench/workloads.py``, which is only read.
+medians. The two runs of a round follow each other, so a drift in host speed
+across rounds moves both; the median and quartiles of the per-round B/A
+ratio are printed last, and they are not widened by that drift the way A's
+spread is. Inputs come from ``perfbench/workloads.py``, which is only read.
 
 Each run also hashes every report it writes. When a run's report bytes
 differ from the first run's on some input, the script stops with exit
@@ -95,6 +98,9 @@ def main() -> None:
     if args.rounds > 1:
         q1, _, q3 = statistics.quantiles(medians["A"], n=4, method="inclusive")
         print(f"A interquartile spread {q3 - q1:.3f} ms ({q1:.3f} to {q3:.3f} ms)")
+        ratios = list(map(float.__truediv__, medians["B"], medians["A"]))
+        q1, mid, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+        print(f"per-round B/A: median {mid:.3f}, quartiles {q1:.3f} to {q3:.3f}")
 
 
 if __name__ == "__main__":

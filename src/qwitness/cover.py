@@ -296,49 +296,64 @@ def _simulate_discard(rel: WitnessRelation) -> tuple[bool, str]:
 
     One forward pass suffices: a witness that strands a target keeps stranding
     it, and a singly covered target stays so, so no skipped (target, witness)
-    pair ever becomes discardable later. Each witness counts the targets it
-    alone still holds, so the pass is linear in the marked pairs.
+    pair ever becomes discardable later. The pass is one loop over the marked
+    pairs, by target and then by witness value: within a target's turn only
+    the witness under test can be discarded, so skipping the witnesses gone
+    before it replays each target's remaining witnesses in order. A target
+    keeps the count and the rank sum of the witnesses it still holds, so at a
+    count of 1 the sum names the witness that alone holds it; a witness's
+    holders are fixed until it is discarded.
     """
-    # witnesses by rank in ascending value order, so sorting ranks sorts values
+    # witnesses by rank in ascending value order, so sorting ranks sorts values;
+    # in an ascending pool (every builder's) a candidate index is its rank
     values = sorted(rel.candidates)
-    rank = [0] * len(values)
-    for r, j in enumerate(sorted(range(len(values)), key=rel.candidates.__getitem__)):
-        rank[j] = r
-    active = [{rank[j] for j in row} for row in rel.incidence]  # per target index
-    holders: list[set[int]] = [set() for _ in values]  # per rank: targets holding it
-    strands = [0] * len(values)  # per rank: targets it alone still holds
-    for i, ws in enumerate(active):
-        for r in ws:
-            holders[r].add(i)
-        if len(ws) == 1:
-            strands[min(ws)] += 1
+    target, rank = rel.marked_pairs
+    if values != list(rel.candidates):
+        # rank the pool's witnesses, then order each target's pairs by rank
+        rank = np.argsort(np.argsort(rel.candidates))[rank]
+        by_target = np.argsort(target * len(values) + rank)
+        target, rank = target[by_target], rank[by_target]
+    turns = rank.tolist()
+    holders = target[np.argsort(rank, kind="stable")].tolist()  # by rank, then target
+    held = np.bincount(rank, minlength=len(values))
+    bounds = [0, *np.cumsum(held).tolist()]  # rank r's: holders[bounds[r]:bounds[r + 1]]
+    witnesses = rel.witness_counts
+    count = witnesses.tolist()  # per target index: witnesses it still holds
+    # a target's rank sum is below len(values)**2, so exact in float64 for
+    # pools below 2**26 witnesses
+    rank_sum = np.bincount(target, weights=rank, minlength=len(count)).astype(np.intp)
+    # per rank: targets it alone still holds
+    strands = np.bincount(rank_sum[witnesses == 1], minlength=len(values)).tolist()
+    rank_sum = rank_sum.tolist()
+    gone = [False] * len(values)
     discarded: list[int] = []
-    for ws in active:
-        for r in sorted(ws):
-            if strands[r]:
-                continue
-            for i in holders[r]:
-                held = active[i]
-                held.discard(r)
-                if len(held) == 1:
-                    strands[min(held)] += 1
-            holders[r] = set()
-            discarded.append(values[r])
-    multi = [i for i, ws in enumerate(active) if len(ws) > 1]
-    if not multi:
-        kept = [w for w, held in zip(values, holders) if held]
+    for r in turns:
+        if gone[r] or strands[r]:
+            continue
+        gone[r] = True
+        discarded.append(values[r])
+        for u in holders[bounds[r] : bounds[r + 1]]:
+            left = count[u] - 1
+            count[u] = left
+            rank_sum[u] -= r
+            if left == 1:
+                strands[rank_sum[u]] += 1
+    i = next((i for i, left in enumerate(count) if left > 1), None)
+    if i is None:
+        kept = [w for w, n, out in zip(values, held.tolist(), gone) if n and not out]
         chain = f"discarded {discarded}" if discarded else "nothing to discard"
         return True, f"{chain}; single coverage reached with witnesses {kept}"
-    i = multi[0]
+    start = int(witnesses[:i].sum())
+    mine = [r for r in turns[start : start + int(witnesses[i])] if not gone[r]]
     blockers = "; ".join(
         f"discarding {values[r]} strands "
-        f"{sorted(rel.targets[u] for u in holders[r] if len(active[u]) == 1)}"
-        for r in sorted(active[i])
+        f"{sorted(rel.targets[u] for u in holders[bounds[r] : bounds[r + 1]] if count[u] == 1)}"
+        for r in mine
     )
     prefix = f"after discarding {discarded}, " if discarded else ""
     return False, (
         f"{prefix}target {rel.targets[i]} still holds witnesses "
-        f"{[values[r] for r in sorted(active[i])]}: {blockers}"
+        f"{[values[r] for r in mine]}: {blockers}"
     )
 
 

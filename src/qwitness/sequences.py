@@ -182,6 +182,9 @@ class IdentityIn(Question):
         return f"identity({len(self.targets)} targets)"
 
 
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 @dataclass(frozen=True)
 class BitString:
     """The answer bits of a question across a sequence, in element order."""
@@ -198,7 +201,8 @@ class BitString:
             raise DomainError("bits must be 0 or 1")
 
     def text(self) -> str:
-        return "".join(map(str, self.bits))
+        # the bits are checked to be 0 or 1, so each is one byte to translate
+        return bytes(self.bits).translate(_DIGITS).decode("ascii")
 
     def popcount(self) -> int:
         return sum(self.bits)

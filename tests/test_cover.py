@@ -468,6 +468,16 @@ def test_discard_replay_matches_reference_on_mobius_supports():
         assert _simulate_discard(covered) == reference_discard(covered)
 
 
+@given(st.integers(min_value=1, max_value=800))
+@settings(max_examples=30, deadline=None)
+def test_discard_replay_matches_reference_on_drawn_mobius_supports(n):
+    rel = relation_mobius(factor_elements(squarefree_support(n)))
+    covered = rel.restrict_targets(
+        t for t, row in zip(rel.targets, rel.incidence) if row
+    )
+    assert _simulate_discard(covered) == reference_discard(covered)
+
+
 @given(st.integers(min_value=0, max_value=2**32))
 @settings(max_examples=30)
 def test_random_seeds_greedy_never_beats_exact(seed):

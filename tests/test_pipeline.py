@@ -289,6 +289,29 @@ class TestComputeOnce:
         assert calls["min_set_cover"] == calls["build_bitstring"] == 1
         assert calls["coverage_check"] == 1
 
+    def test_a_deadlock_is_replayed_from_the_pairs(self, monkeypatch):
+        """The discard replay reads the pair arrays, and with more targets
+        than witnesses the matching stops before it reads a row, so a
+        deadlocked report never builds the per-target rows."""
+        calls = self.counted(monkeypatch, [(qwitness.cover, "_simulate_discard")])
+        rows = qwitness.witnesses.WitnessRelation.incidence
+        reads = []
+
+        def counted_rows(rel):
+            reads.append(rel)
+            return rows.__get__(rel, type(rel))
+
+        monkeypatch.setattr(
+            qwitness.witnesses.WitnessRelation, "incidence", property(counted_rows)
+        )
+        report = analyze(sf_seq(120), MobiusPlusOne(), AnalyzeOptions(run_quantum=False))
+        # the minimized relation: 56 covered targets, 25 witnesses
+        assert report.minimization.paradox
+        assert report.minimization.verdict.q == 56
+        assert report.relation.candidate_count == 25
+        assert calls == {"_simulate_discard": 1}
+        assert reads == []
+
     @pytest.mark.parametrize(
         "seq, question",
         [(sf_seq(25), MobiusPlusOne()), (Sequence.from_range(2, 100), IsComposite())],

@@ -3,7 +3,7 @@ from math import isqrt
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qwitness.errors import DomainError
@@ -130,6 +130,13 @@ class TestBuildBitstring:
     def test_csv_shape(self):
         bs = build_bitstring(Sequence.from_range(2, 4), IsComposite())
         assert bs.to_csv() == "element,bit\n2,0\n3,0\n4,1\n"
+
+    @given(st.lists(st.integers(min_value=0, max_value=1), max_size=2000))
+    @example([])
+    def test_text_joins_the_bits(self, bits):
+        bits = tuple(bits)
+        bs = BitString(bits, tuple(range(2, len(bits) + 2)))
+        assert bs.text() == "".join(map(str, bits))
 
     def test_bitstring_validation(self):
         with pytest.raises(DomainError):
