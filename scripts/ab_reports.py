@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """In-process A/B of two source trees on one benchmark workload.
 
-Usage: python scripts/ab_reports.py WORKLOAD SRC_A SRC_B [--rounds 6] [--seed 1]
+Usage: python scripts/ab_reports.py WORKLOAD SRC_A SRC_B [--rounds 10] [--seed 1]
 
 Each round runs the workload's distinct inputs through ``qwitness.cli.main``
 once per tree, each tree in a fresh interpreter, alternating which tree goes
@@ -75,7 +75,7 @@ def main() -> None:
     parser.add_argument("workload")
     parser.add_argument("src_a")
     parser.add_argument("src_b")
-    parser.add_argument("--rounds", type=int, default=6)
+    parser.add_argument("--rounds", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
     sides = {"A": args.src_a, "B": args.src_b}

@@ -9,8 +9,9 @@ and are labelled NonCanonical.
 
 That state carries one amplitude on every marked pair and nothing elsewhere,
 so ``classify_marked`` reads it from the oracle's marked cells and that
-amplitude, in time linear in the marked pairs apart from one sort by column
-and the SVD of the trimmed flag matrix; no state vector is built.
+amplitude, in time linear in the marked pairs and the witness register apart
+from the SVD of the trimmed flag matrix and, for a canonical state, one sort
+by column to collect the blocks; no state vector is built.
 """
 
 from __future__ import annotations
@@ -85,20 +86,22 @@ def classify_marked(oracle: MarkedOracle, amplitude: float) -> RandomnessClass:
     row, col = np.divmod(oracle.marked, len(oracle.w_values))
     # the cells ascend, so each row's cells form one run
     new_row = run_starts(row)
-    by_col = np.argsort(col, kind="stable")
-    col_sorted = col[by_col]
-    new_col = run_starts(col_sorted)
-    at_col = np.empty_like(by_col)
-    at_col[by_col] = np.cumsum(new_col) - 1
-    n_rows, n_cols = int(np.count_nonzero(new_row)), int(np.count_nonzero(new_col))
+    # a marked column's rank among the marked columns is its matrix column
+    used = np.zeros(len(oracle.w_values), dtype=bool)
+    used[col] = True
+    rank = np.cumsum(used) - 1
+    n_rows, n_cols = int(np.count_nonzero(new_row)), int(rank[-1]) + 1
     # complex and C-ordered, as in the state, so the SVD reads the same bytes
     matrix = np.zeros((n_rows, n_cols), dtype=np.complex128)
-    matrix[np.cumsum(new_row) - 1, at_col] = complex(amplitude)
+    matrix[np.cumsum(new_row) - 1, rank[col]] = complex(amplitude)
     spectrum = _schmidt_split(matrix)
     entropy = entanglement_entropy(spectrum)
     if n_rows < row.size:
         return RandomnessClass(RandomnessRegime.NON_CANONICAL, entropy, None, spectrum)
     # one cell per row: each column's run of the column order is its block
+    by_col = np.argsort(col, kind="stable")
+    col_sorted = col[by_col]
+    new_col = run_starts(col_sorted)
     s_of = list(map(oracle.s_values.__getitem__, row[by_col].tolist()))
     bounds = [*np.flatnonzero(new_col).tolist(), len(s_of)]
     blocks = tuple(

@@ -14,7 +14,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from math import ceil
 
 import numpy as np
 
@@ -125,6 +124,11 @@ def _greedy_cover(full: int, masks: list[int], values) -> list[int]:
     return chosen
 
 
+def _max_gain(masks: list[int], start: int, remaining: int) -> int:
+    """The most targets of ``remaining`` that one of ``masks[start:]`` covers."""
+    return max(map(int.bit_count, map(remaining.__and__, masks[start:])))
+
+
 def _least_cover(full: int, masks: list[int], limit: int, disjoint: bool) -> list[int] | None:
     """Lexicographically least of the smallest covers of at most ``limit`` candidates.
 
@@ -138,6 +142,12 @@ def _least_cover(full: int, masks: list[int], limit: int, disjoint: bool) -> lis
     taken before the search, which then covers the rest with the others. The
     order is kept: between two covers of one size, both holding the forced
     set, the least element of their symmetric difference decides.
+
+    A node is pruned when even the best gain from its candidate on cannot
+    cover the remaining targets within the limit. That best gain is at least
+    the candidate's own gain, so the scan for it over the rest of the pool
+    runs only when the own gain alone would prune. In the exact-cover search
+    over a Möbius relation it never runs.
     """
     # a candidate covering no target is never included: search without them
     live = [j for j, mask in enumerate(masks) if mask]
@@ -174,13 +184,16 @@ def _least_cover(full: int, masks: list[int], limit: int, disjoint: bool) -> lis
         if covered | suffix_union[j] != full:
             continue
         remaining = full & ~covered
-        max_gain = max((masks[k] & remaining).bit_count() for k in range(j, n))
-        if len(chosen) + ceil(remaining.bit_count() / max_gain) > limit:
-            continue
+        need = remaining.bit_count()
+        gain = masks[j] & remaining
+        own = gain.bit_count()
+        # -(-need // g) is need / g rounded up
+        if not own or len(chosen) - (-need // own) > limit:
+            if len(chosen) - (-need // _max_gain(masks, j, remaining)) > limit:
+                continue
         stack.append((j + 1, covered, chosen))
         # a candidate adding no target is in no smallest cover, and with
         # ``disjoint`` one overlapping the covered targets is in no exact cover
-        gain = masks[j] & remaining
         if gain and (gain == masks[j] or not disjoint):
             stack.append((j + 1, covered | gain, chosen + (j,)))
     if best is None:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
 from math import isqrt
 
 import numpy as np
@@ -204,15 +203,15 @@ def squarefree_support(n: int) -> list[int]:
     # Squarefree density is ~0.61, so 2n overshoots; grow if it ever does not.
     limit = max(16, 2 * n)
     while True:
-        flags = bytearray([1]) * (_sieve_bound(limit, "limit") + 1)
-        flags[0] = 0
+        flags = np.ones(_sieve_bound(limit, "limit") + 1, dtype=bool)
+        flags[0] = False
         for p in range(2, isqrt(limit) + 1):
             square = p * p
             # still flagged iff p is prime: a smaller prime square divides
             # the square of any other p
             if flags[square]:
-                flags[square::square] = bytearray(len(range(square, limit + 1, square)))
-        out = list(compress(range(limit + 1), flags))
+                flags[square::square] = False
+        out = np.flatnonzero(flags)
         if len(out) >= n:
-            return out[:n]
+            return out[:n].tolist()
         limit *= 2

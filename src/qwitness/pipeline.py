@@ -384,7 +384,7 @@ def minimize_covered(
 ) -> Minimization:
     """Drop the targets without a witness, then minimize the rest."""
     if coverage.uncovered:
-        relation = relation.restrict_targets(set(relation.targets) - set(coverage.uncovered))
+        relation = relation.covered()
     return minimize(relation, exact_threshold)
 
 
@@ -452,8 +452,8 @@ def analyze(
         target_count=len(relation.targets),
         candidate_count=len(relation.candidates),
         uncovered=coverage.uncovered,
-        multiply_witnessed_targets=len(coverage.multiply_witnessed),
-        shared_witnesses=len(coverage.shared_witnesses),
+        multiply_witnessed_targets=coverage.multiply_witnessed_count,
+        shared_witnesses=coverage.shared_witness_count,
         oracle_matches_question=faithful,
     )
     return RandomnessReport(

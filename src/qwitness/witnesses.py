@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import accumulate, chain, compress, islice, repeat
-from operator import lt, not_
+from operator import lt
 
 import numpy as np
 
@@ -83,14 +83,15 @@ class WitnessRelation:
         ends = list(accumulate(self.witness_counts.tolist()))
         return tuple(map(flat.__getitem__, map(slice, chain((0,), ends), ends)))
 
-    def restrict_targets(self, keep) -> "WitnessRelation":
-        kept = np.fromiter(map(set(keep).__contains__, self.targets), bool, len(self.targets))
+    def covered(self) -> "WitnessRelation":
+        """The relation without its targets that have no witness; every marked
+        pair stays, with its target renumbered."""
+        kept = self.witness_counts > 0
         target, candidate = self.marked_pairs
-        held = kept[target]
         return replace(
             self,
             targets=tuple(compress(self.targets, kept.tolist())),
-            marked_pairs=((np.cumsum(kept) - 1)[target[held]], candidate[held]),
+            marked_pairs=((np.cumsum(kept) - 1)[target], candidate),
         )
 
     def to_json_dict(self) -> dict:
@@ -132,11 +133,30 @@ def _fault(target: np.ndarray, candidate: np.ndarray, q: int, m: int) -> str:
     return f"{pair} out of order after ({target[k - 1]}, {candidate[k - 1]})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoverageReport:
+    """What ``coverage_check`` finds; the tuples are built when first read."""
+
+    relation: WitnessRelation
+    held: np.ndarray  # per candidate: the targets it witnesses
     uncovered: tuple[int, ...]
-    multiply_witnessed: tuple[tuple[int, int], ...]  # (target, witness count > 1)
-    shared_witnesses: tuple[tuple[int, int], ...]  # (witness value, target count > 1)
+    multiply_witnessed_count: int
+    shared_witness_count: int
+
+    @cached_property
+    def multiply_witnessed(self) -> tuple[tuple[int, int], ...]:
+        """(target, witness count > 1), ascending by target index."""
+        return _above_one(self.relation.targets, self.relation.witness_counts)
+
+    @cached_property
+    def shared_witnesses(self) -> tuple[tuple[int, int], ...]:
+        """(witness value, target count > 1), in pool order."""
+        return _above_one(self.relation.candidates, self.held)
+
+
+def _above_one(values: tuple[int, ...], counts: np.ndarray) -> tuple[tuple[int, int], ...]:
+    counts = counts.tolist()
+    return tuple(compress(zip(values, counts), map(lt, repeat(1), counts)))
 
 
 def relation_recurrence(seq: Sequence, p: int, q: int) -> WitnessRelation:
@@ -204,7 +224,9 @@ def relation_mobius(factored: Factorization) -> WitnessRelation:
     at = np.searchsorted(values, quotient).clip(max=len(values) - 1)
     found = values[at] == quotient
     owner, witness = owner[found], at[found]
-    order = np.lexsort((witness, owner))
+    # the keys are unique, so one sort orders the pairs by owner, then witness;
+    # a stable sort is the quicker one on the ascending runs of the owners
+    order = np.argsort(owner * len(elements) + witness, kind="stable")
     used = np.zeros(len(elements), dtype=bool)
     used[witness] = True
     return WitnessRelation(
@@ -232,10 +254,19 @@ def relation_identity(satisfying: SatisfyingSet) -> WitnessRelation:
 
 
 def coverage_check(rel: WitnessRelation) -> CoverageReport:
-    """Enumerate uncovered targets, multiply witnessed targets, shared witnesses."""
-    lengths = rel.witness_counts.tolist()
-    uncovered = tuple(compress(rel.targets, map(not_, lengths)))
-    multiply = tuple(compress(zip(rel.targets, lengths), map(lt, repeat(1), lengths)))
-    counts = np.bincount(rel.marked_pairs[1], minlength=len(rel.candidates)).tolist()
-    shared = tuple(compress(zip(rel.candidates, counts), map(lt, repeat(1), counts)))
-    return CoverageReport(uncovered, multiply, shared)
+    """Uncovered targets, and how many targets are multiply witnessed and how
+    many witnesses are shared.
+
+    The counts come from the witness counts and one bincount of the witness
+    indices; the (value, count) tuples they count wait until read, which only
+    the ``witness`` view does.
+    """
+    counts = rel.witness_counts
+    held = np.bincount(rel.marked_pairs[1], minlength=len(rel.candidates))
+    return CoverageReport(
+        relation=rel,
+        held=held,
+        uncovered=() if counts.all() else tuple(compress(rel.targets, (counts == 0).tolist())),
+        multiply_witnessed_count=int(np.count_nonzero(counts > 1)),
+        shared_witness_count=int(np.count_nonzero(held > 1)),
+    )

@@ -9,12 +9,14 @@ every target against the whole mu = -1 pool. Primes and mu come from sympy
 
 ``relation_of_rows`` builds a relation from per-target rows of candidate
 indices, the shape tests write relations in; ``relation_pairs`` and
-``witnesses_of`` read a relation's marked pairs back as values.
+``witnesses_of`` read a relation's marked pairs back as values, and
+``restrict_targets`` cuts a relation to a set of target values.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from dataclasses import replace
+from itertools import chain, compress
 from math import isqrt
 
 import numpy as np
@@ -52,6 +54,18 @@ def witnesses_of(rel: WitnessRelation, s: int) -> tuple[int, ...]:
     except ValueError:
         raise DomainError(f"{s} is not a target of this relation") from None
     return tuple(rel.candidates[j] for j in rel.incidence[i])
+
+
+def restrict_targets(rel: WitnessRelation, keep) -> WitnessRelation:
+    """The relation cut to the targets whose values are in ``keep``."""
+    kept = np.fromiter(map(set(keep).__contains__, rel.targets), bool, len(rel.targets))
+    target, candidate = rel.marked_pairs
+    held = kept[target]
+    return replace(
+        rel,
+        targets=tuple(compress(rel.targets, kept.tolist())),
+        marked_pairs=((np.cumsum(kept) - 1)[target[held]], candidate[held]),
+    )
 
 
 def relation_composite(seq: Sequence) -> WitnessRelation:

@@ -53,7 +53,7 @@ from qwitness.witnesses import (
     relation_recurrence,
 )
 from reference_numbers import mobius_upto
-from reference_relations import relation_of_rows, witnesses_of
+from reference_relations import relation_of_rows, restrict_targets, witnesses_of
 
 
 def _passed(n, text):
@@ -106,8 +106,8 @@ def test_criterion_3_mobius_paradox():
         Sequence.from_values(squarefree_support(25), label="sf25"),
     ):
         rel = relation_mobius(factor_elements(seq.elements))
-        covered = rel.restrict_targets(
-            t for t, row in zip(rel.targets, rel.incidence) if row
+        covered = restrict_targets(
+            rel, (t for t, row in zip(rel.targets, rel.incidence) if row)
         )
         assert minimize(covered, DEFAULT_EXACT_THRESHOLD).paradox, seq.label
 

@@ -25,7 +25,7 @@ from qwitness.witnesses import (
     relation_mobius,
     relation_recurrence,
 )
-from reference_relations import relation_of_rows
+from reference_relations import relation_of_rows, restrict_targets
 
 
 def block_relation(blocks):
@@ -112,8 +112,8 @@ class TestClassify:
     def test_multi_witness_support_is_non_canonical(self):
         seq = Sequence.from_values(squarefree_support(25), "sf")
         rel = relation_mobius(factor_elements(seq.elements))
-        covered = rel.restrict_targets(
-            t for t, row in zip(rel.targets, rel.incidence) if row
+        covered = restrict_targets(
+            rel, (t for t, row in zip(rel.targets, rel.incidence) if row)
         )
         state, oracle = marked_state(covered, s_values=seq.elements)
         cls = indexed_classify(state, oracle)

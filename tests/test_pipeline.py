@@ -312,6 +312,35 @@ class TestComputeOnce:
         assert calls == {"_simulate_discard": 1}
         assert reads == []
 
+    @pytest.mark.parametrize("n", [120, 650])
+    def test_a_mobius_report_runs_no_max_gain_scan(self, monkeypatch, n):
+        """Above the exactness threshold only the exact-cover search runs, and
+        at each of its nodes the candidate's own gain already admits a cover
+        within the limit, so the scan for the best gain never runs."""
+        calls = self.counted(
+            monkeypatch, [(qwitness.cover, "_least_cover"), (qwitness.cover, "_max_gain")]
+        )
+        report = analyze(sf_seq(n), MobiusPlusOne(), AnalyzeOptions(run_quantum=False))
+        assert report.minimization.paradox
+        assert calls == {"_least_cover": 1, "_max_gain": 0}
+
+    def test_a_report_builds_no_coverage_tuples(self, monkeypatch):
+        """The report keeps the coverage counts; only the witness view reads
+        the (value, count) tuples behind them."""
+        read = []
+        for name in ("multiply_witnessed", "shared_witnesses"):
+            monkeypatch.setattr(
+                qwitness.witnesses.CoverageReport,
+                name,
+                property(lambda report, _name=name: read.append(_name)),
+                raising=False,
+            )
+        report = analyze(sf_seq(120), MobiusPlusOne(), AnalyzeOptions(run_quantum=False))
+        assert read == []
+        assert report.relation.uncovered == (1,)
+        assert report.relation.multiply_witnessed_targets == 56
+        assert report.relation.shared_witnesses == 18
+
     @pytest.mark.parametrize(
         "seq, question",
         [(sf_seq(25), MobiusPlusOne()), (Sequence.from_range(2, 100), IsComposite())],

@@ -26,7 +26,7 @@ from qwitness.witnesses import (
     relation_recurrence,
 )
 from reference_numbers import is_composite, mobius, primes_upto
-from reference_relations import relation_pairs, witnesses_of
+from reference_relations import relation_pairs, restrict_targets, witnesses_of
 
 
 def sf_seq(n):
@@ -295,10 +295,54 @@ class TestCoverageCheck:
         assert (2, 49) in report.shared_witnesses
 
 
+ROWS_WITH_GAPS = st.integers(0, 5).flatmap(lambda m: st.tuples(
+    st.just(m),
+    st.lists(st.sets(st.integers(0, max(m - 1, 0)), max_size=m).map(sorted).map(tuple),
+             max_size=8),
+))
+
+
+class TestCoveredRelation:
+    """``covered()`` and the coverage counts read the witness tallies; they
+    must agree with the value-set restriction and the (value, count) tuples."""
+
+    @staticmethod
+    def assert_agrees(rel):
+        report = coverage_check(rel)
+        covered = rel.covered()
+        expected = restrict_targets(rel, set(rel.targets) - set(report.uncovered))
+        assert covered.targets == expected.targets
+        assert [a.tolist() for a in covered.marked_pairs] == [
+            a.tolist() for a in expected.marked_pairs
+        ]
+        assert covered.candidates == rel.candidates
+        rows = list(zip(rel.targets, rel.incidence))
+        assert report.uncovered == tuple(t for t, row in rows if not row)
+        assert report.multiply_witnessed == tuple((t, len(row)) for t, row in rows if len(row) > 1)
+        held = [sum(j in row for _, row in rows) for j in range(len(rel.candidates))]
+        assert report.shared_witnesses == tuple(
+            (w, k) for w, k in zip(rel.candidates, held) if k > 1
+        )
+        assert report.multiply_witnessed_count == len(report.multiply_witnessed)
+        assert report.shared_witness_count == len(report.shared_witnesses)
+
+    @given(ROWS_WITH_GAPS)
+    @settings(max_examples=200)
+    def test_drawn_rows(self, case):
+        m, rows = case
+        targets = tuple(range(100, 100 + len(rows)))
+        self.assert_agrees(reference.relation_of_rows(targets, tuple(range(m)), rows, "drawn"))
+
+    @given(st.integers(min_value=1, max_value=800))
+    @settings(max_examples=30, deadline=None)
+    def test_mobius_supports(self, n):
+        self.assert_agrees(relation_mobius(factor_elements(squarefree_support(n))))
+
+
 class TestRelationMechanics:
     def test_restrict_targets(self):
         rel = relation_mobius(factor_elements(squarefree_support(25)))
-        rel = rel.restrict_targets({15, 21, 35})
+        rel = restrict_targets(rel, {15, 21, 35})
         assert rel.targets == (15, 21, 35)
         assert witnesses_of(rel, 15) == (3, 5)
 
@@ -401,7 +445,7 @@ class TestRelationMechanics:
         rel = WitnessRelation(targets, tuple(range(m)), pairs, "random")
         assert rel.incidence == tuple(rows)
         assert rel.witness_counts.tolist() == list(map(len, rows))
-        kept = rel.restrict_targets(targets[i] for i in keep if i < len(rows))
+        kept = restrict_targets(rel, (targets[i] for i in keep if i < len(rows)))
         assert kept.targets == tuple(t for i, t in enumerate(targets) if i in keep)
         assert kept.incidence == tuple(row for i, row in enumerate(rows) if i in keep)
         d = json.loads(json.dumps(rel.to_json_dict()))
